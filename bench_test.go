@@ -9,12 +9,12 @@
 package repro
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"wlan80211/internal/analysis"
 	"wlan80211/internal/capture"
-	"wlan80211/internal/core"
 	"wlan80211/internal/experiment"
 	"wlan80211/internal/phy"
 	"wlan80211/internal/rate"
@@ -94,8 +94,8 @@ func BenchmarkTable1_Sessions(b *testing.B) {
 func BenchmarkTable2_DelayComponents(b *testing.B) {
 	var sink phy.Micros
 	for i := 0; i < b.N; i++ {
-		sink += core.CBTData(1000+i%500, phy.Rates[i%4])
-		sink += core.CBTRTS() + core.CBTCTS() + core.CBTACK() + core.CBTBeacon()
+		sink += analysis.CBTData(1000+i%500, phy.Rates[i%4])
+		sink += analysis.CBTRTS() + analysis.CBTCTS() + analysis.CBTACK() + analysis.CBTBeacon()
 	}
 	if sink == 0 {
 		b.Fatal("impossible")
@@ -110,7 +110,7 @@ func BenchmarkFigure4a_PerAPTraffic(b *testing.B) {
 	b.ResetTimer()
 	var share float64
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
+		r := analysis.Analyze(trace)
 		share = r.APs.TopNShare(3)
 	}
 	b.ReportMetric(share*100, "top3_share_%")
@@ -123,7 +123,7 @@ func BenchmarkFigure4b_UserCounts(b *testing.B) {
 	b.ResetTimer()
 	peak := 0
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
+		r := analysis.Analyze(trace)
 		peak = 0
 		for _, u := range r.Users {
 			if u.Users > peak {
@@ -141,8 +141,8 @@ func BenchmarkFigure4c_UnrecordedPct(b *testing.B) {
 	b.ResetTimer()
 	var dayPct, plenPct float64
 	for i := 0; i < b.N; i++ {
-		dayPct = core.Analyze(dayT).Unrecorded.Percent()
-		plenPct = core.Analyze(plenT).Unrecorded.Percent()
+		dayPct = analysis.Analyze(dayT).Unrecorded.Percent()
+		plenPct = analysis.Analyze(plenT).Unrecorded.Percent()
 	}
 	b.ReportMetric(dayPct, "day_unrecorded_%")
 	b.ReportMetric(plenPct, "plenary_unrecorded_%")
@@ -155,8 +155,8 @@ func BenchmarkFigure5_UtilizationSeries(b *testing.B) {
 	b.ResetTimer()
 	var seconds int
 	for i := 0; i < b.N; i++ {
-		rd := core.Analyze(dayT)
-		rp := core.Analyze(plenT)
+		rd := analysis.Analyze(dayT)
+		rp := analysis.Analyze(plenT)
 		seconds = 0
 		for _, ch := range phy.OrthogonalChannels {
 			seconds += len(rd.PerChannel[ch]) + len(rp.PerChannel[ch])
@@ -172,8 +172,8 @@ func BenchmarkFigure5c_UtilizationHistogram(b *testing.B) {
 	b.ResetTimer()
 	var dayMode, plenMode int
 	for i := 0; i < b.N; i++ {
-		dayMode, _ = core.Analyze(dayT).UtilHist.Mode()
-		plenMode, _ = core.Analyze(plenT).UtilHist.Mode()
+		dayMode, _ = analysis.Analyze(dayT).UtilHist.Mode()
+		plenMode, _ = analysis.Analyze(plenT).UtilHist.Mode()
 	}
 	b.ReportMetric(float64(dayMode), "day_mode_%")
 	b.ReportMetric(float64(plenMode), "plenary_mode_%")
@@ -188,7 +188,7 @@ func BenchmarkFigure6_ThroughputGoodput(b *testing.B) {
 	var knee int
 	var peak, tail float64
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
+		r := analysis.Analyze(trace)
 		knee = r.FindKnee(30, 99, 5)
 		peak = r.Throughput.MeanOver(knee-4, knee+4)
 		tail = r.Throughput.MeanOver(90, 99)
@@ -206,7 +206,7 @@ func BenchmarkFigure7_RTSCTS(b *testing.B) {
 	b.ResetTimer()
 	var rtsMid, rtsHigh, ctsMid float64
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
+		r := analysis.Analyze(trace)
 		rtsMid = r.RTSPerSec.MeanOver(60, 84)
 		rtsHigh = r.RTSPerSec.MeanOver(85, 99)
 		ctsMid = r.CTSPerSec.MeanOver(60, 84)
@@ -223,7 +223,7 @@ func BenchmarkFigure8_BusyTimeShare(b *testing.B) {
 	b.ResetTimer()
 	var bt1Mid, bt1High, bt11High float64
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
+		r := analysis.Analyze(trace)
 		bt1Mid = r.BusyTimePerRate[0].MeanOver(50, 84)
 		bt1High = r.BusyTimePerRate[0].MeanOver(85, 99)
 		bt11High = r.BusyTimePerRate[3].MeanOver(85, 99)
@@ -241,7 +241,7 @@ func BenchmarkFigure9_BytesPerRate(b *testing.B) {
 	b.ResetTimer()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
+		r := analysis.Analyze(trace)
 		by1 := r.BytesPerRate[0].MeanOver(70, 99)
 		by11 := r.BytesPerRate[3].MeanOver(70, 99)
 		if by1 > 0 {
@@ -254,26 +254,26 @@ func BenchmarkFigure9_BytesPerRate(b *testing.B) {
 // BenchmarkFigure10_SmallFrames reports S-frame rate usage (paper:
 // S-11 dominates; S-2/S-5.5 scarce at every congestion level).
 func BenchmarkFigure10_SmallFrames(b *testing.B) {
-	benchCategoryShare(b, core.SizeS)
+	benchCategoryShare(b, analysis.SizeS)
 }
 
 // BenchmarkFigure11_XLFrames reports XL-frame rate usage (paper: XL-11
 // dominates and grows under congestion).
 func BenchmarkFigure11_XLFrames(b *testing.B) {
-	benchCategoryShare(b, core.SizeXL)
+	benchCategoryShare(b, analysis.SizeXL)
 }
 
 // benchCategoryShare reports the middle-rate share of a size class's
 // transmissions — the paper's "scarce use of 2 and 5.5 Mbps".
-func benchCategoryShare(b *testing.B, size core.SizeClass) {
+func benchCategoryShare(b *testing.B, size analysis.SizeClass) {
 	trace := sweep()
 	b.ResetTimer()
 	var midShare, r11 float64
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
+		r := analysis.Analyze(trace)
 		var per [4]float64
 		for ri, rt := range phy.Rates {
-			ci, _ := core.Category{Size: size, Rate: rt}.Index()
+			ci, _ := analysis.Category{Size: size, Rate: rt}.Index()
 			per[ri] = r.TxPerCategory[ci].MeanOver(30, 99)
 		}
 		total := per[0] + per[1] + per[2] + per[3]
@@ -303,10 +303,10 @@ func benchRateGrowth(b *testing.B, rt phy.Rate) {
 	b.ResetTimer()
 	var mid, high float64
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
+		r := analysis.Analyze(trace)
 		mid, high = 0, 0
-		for s := core.SizeS; s <= core.SizeXL; s++ {
-			ci, _ := core.Category{Size: s, Rate: rt}.Index()
+		for s := analysis.SizeS; s <= analysis.SizeXL; s++ {
+			ci, _ := analysis.Category{Size: s, Rate: rt}.Index()
 			mid += r.TxPerCategory[ci].MeanOver(50, 84)
 			high += r.TxPerCategory[ci].MeanOver(85, 99)
 		}
@@ -322,7 +322,7 @@ func BenchmarkFigure14_FirstAttemptAcks(b *testing.B) {
 	b.ResetTimer()
 	var a1, a11 float64
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
+		r := analysis.Analyze(trace)
 		a1 = r.FirstAckPerRate[0].MeanOver(85, 99)
 		a11 = r.FirstAckPerRate[3].MeanOver(85, 99)
 	}
@@ -338,15 +338,15 @@ func BenchmarkFigure15_AcceptanceDelay(b *testing.B) {
 	b.ResetTimer()
 	var s1, x1, s11, x11 float64
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
-		at := func(size core.SizeClass, rt phy.Rate) float64 {
-			ci, _ := core.Category{Size: size, Rate: rt}.Index()
+		r := analysis.Analyze(trace)
+		at := func(size analysis.SizeClass, rt phy.Rate) float64 {
+			ci, _ := analysis.Category{Size: size, Rate: rt}.Index()
 			return r.AcceptDelay[ci].MeanOver(70, 99) * 1000
 		}
-		s1 = at(core.SizeS, phy.Rate1Mbps)
-		x1 = at(core.SizeXL, phy.Rate1Mbps)
-		s11 = at(core.SizeS, phy.Rate11Mbps)
-		x11 = at(core.SizeXL, phy.Rate11Mbps)
+		s1 = at(analysis.SizeS, phy.Rate1Mbps)
+		x1 = at(analysis.SizeXL, phy.Rate1Mbps)
+		s11 = at(analysis.SizeS, phy.Rate11Mbps)
+		x11 = at(analysis.SizeXL, phy.Rate11Mbps)
 	}
 	b.ReportMetric(s1, "S1_ms")
 	b.ReportMetric(x1, "XL1_ms")
@@ -357,7 +357,7 @@ func BenchmarkFigure15_AcceptanceDelay(b *testing.B) {
 // --- Analysis pipeline: batch vs streaming ---------------------------
 
 // BenchmarkAnalyzeBatch measures the compatibility entry point
-// (core.Analyze over a materialized trace) on the three-channel sweep
+// (analysis.Analyze over a materialized trace) on the three-channel sweep
 // ladder.
 func BenchmarkAnalyzeBatch(b *testing.B) {
 	trace := sweep()
@@ -365,7 +365,7 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 	b.ReportAllocs()
 	var frames int64
 	for i := 0; i < b.N; i++ {
-		frames = core.Analyze(trace).TotalFrames
+		frames = analysis.Analyze(trace).TotalFrames
 	}
 	b.ReportMetric(float64(frames), "frames")
 }
@@ -422,13 +422,12 @@ func BenchmarkExperimentMatrix(b *testing.B) {
 	}
 	var frames float64
 	for i := 0; i < b.N; i++ {
-		specs, err := m.Expand()
+		ex, err := experiment.Runner{}.Execute(context.Background(), experiment.RunSpecOpts{Matrix: m})
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := (&experiment.Engine{}).Run(specs)
 		frames = 0
-		for _, r := range results {
+		for _, r := range ex.Results {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}
@@ -444,19 +443,21 @@ func BenchmarkExperimentMatrix(b *testing.B) {
 // archives into BENCH_3.json. Streaming keeps peak memory at
 // per-second state even for these multi-minute, hundred-user runs.
 func BenchmarkTable1_FullScale(b *testing.B) {
-	specs := []experiment.Spec{
-		{Name: "day", Scale: 1.0, Scenario: experiment.NewSession(workload.DaySession())},
-		{Name: "plenary", Scale: 1.0, Scenario: experiment.NewSession(workload.PlenarySession())},
-	}
+	// Seed 0 at scale 1.0 is the registry's unmodified day and plenary
+	// sessions.
+	m := experiment.Matrix{Scenarios: []string{"day", "plenary"}, Scales: []float64{1.0}}
 	var day, plenary experiment.Summary
 	for i := 0; i < b.N; i++ {
-		results := (&experiment.Engine{}).Run(specs)
-		for _, r := range results {
+		ex, err := experiment.Runner{}.Execute(context.Background(), experiment.RunSpecOpts{Matrix: m})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range ex.Results {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}
 		}
-		day, plenary = results[0].Summary, results[1].Summary
+		day, plenary = ex.Results[0].Summary, ex.Results[1].Summary
 	}
 	b.ReportMetric(float64(day.Frames), "day_frames")
 	b.ReportMetric(float64(day.DataFrames), "day_data_frames")
@@ -487,7 +488,7 @@ func BenchmarkAblation_RateAdaptation(b *testing.B) {
 			net.StartTraffic(st, sim.ProfileBulk, 6)
 		}
 		net.RunFor(10 * phy.MicrosPerSecond)
-		return core.Analyze(sn.Records()).Goodput.MeanOver(0, 100)
+		return analysis.Analyze(sn.Records()).Goodput.MeanOver(0, 100)
 	}
 	var arf, snr float64
 	for i := 0; i < b.N; i++ {
@@ -562,7 +563,7 @@ func BenchmarkAblation_BackoffAssumption(b *testing.B) {
 	b.ResetTimer()
 	var shift float64
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
+		r := analysis.Analyze(trace)
 		// Per-second data frame counts approximate the extra charge.
 		var base, adj, n float64
 		for _, secs := range r.PerChannel {
@@ -617,7 +618,7 @@ func BenchmarkAblation_SnifferCount(b *testing.B) {
 		for i, sn := range sniffers {
 			traces[i] = sn.Records()
 		}
-		return core.Analyze(capture.Merge(traces...)).Unrecorded.Percent()
+		return analysis.Analyze(capture.Merge(traces...)).Unrecorded.Percent()
 	}
 	var one, three float64
 	for i := 0; i < b.N; i++ {
@@ -646,7 +647,7 @@ func BenchmarkAblation_ContentionWindow(b *testing.B) {
 			net.StartTraffic(st, sim.ProfileBulk, 10)
 		}
 		net.RunFor(10 * phy.MicrosPerSecond)
-		return core.Analyze(sn.Records()).Goodput.MeanOver(0, 100), net.Stats.Collisions
+		return analysis.Analyze(sn.Records()).Goodput.MeanOver(0, 100), net.Stats.Collisions
 	}
 	var gPaper, gStd float64
 	var cPaper, cStd int64
@@ -706,8 +707,8 @@ func BenchmarkAblation_BeaconReliability(b *testing.B) {
 	b.ResetTimer()
 	var corr, mean float64
 	for i := 0; i < b.N; i++ {
-		r := core.Analyze(trace)
-		rel := core.MeasureBeaconReliability(trace, 10)
+		r := analysis.Analyze(trace)
+		rel := analysis.MeasureBeaconReliability(trace, 10)
 		corr = rel.CorrelateWithUtilization(r)
 		mean = rel.MeanRatio()
 	}

@@ -91,25 +91,25 @@ func main() {
 		fmt.Println()
 	}
 
-	// Only the scenarios whose figures will print run — concurrently
-	// on the engine, streaming.
+	// Only the scenarios whose figures will print run — concurrently,
+	// streaming. The registry's day, plenary, and ladder at seed 0 are
+	// exactly the sessions of Table 1 and the default sweep ladder.
 	needSessions := *only == 0 || *only == 4 || *only == 5
 	needLadder := *only != 4 && *only != 5
-	var specs []experiment.Spec
+	m := experiment.Matrix{Scales: []float64{*scale}}
 	if needSessions {
-		specs = append(specs,
-			experiment.Spec{Name: "day", Scale: *scale, Scenario: experiment.NewSession(day)},
-			experiment.Spec{Name: "plenary", Scale: *scale, Scenario: experiment.NewSession(plenary)},
-		)
+		m.Scenarios = append(m.Scenarios, "day", "plenary")
 	}
 	if needLadder {
-		specs = append(specs, experiment.Spec{
-			Name: "ladder", Scale: *scale,
-			Scenario: experiment.NewLadder("ladder", workload.DefaultLadder(*scale)),
-		})
+		m.Scenarios = append(m.Scenarios, "ladder")
 	}
-	eng := &experiment.Engine{Workers: *workers}
-	results := eng.Run(specs)
+	ex, err := experiment.Runner{}.Execute(context.Background(), experiment.RunSpecOpts{Matrix: m, Workers: *workers})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ietfrepro:", err)
+		profStop()
+		os.Exit(1)
+	}
+	results := ex.Results
 	for _, res := range results {
 		if res.Err != nil {
 			fmt.Fprintf(os.Stderr, "ietfrepro: %s: %v\n", res.Spec.Name, res.Err)
@@ -179,10 +179,6 @@ func main() {
 	}
 }
 
-// runMatrix is the -sweep mode: the three repro scenarios × N seeds
-// at the given scale (plus the grid scenarios with -grid), aggregated
-// to mean±stddev per scenario — a robustness check that the headline
-// numbers are not one-seed flukes.
 // writeSummariesJSON archives the figure-mode run summaries as JSON,
 // via temp-file+rename so an interrupt never leaves a torn report.
 func writeSummariesJSON(path string, scale float64, results []experiment.RunResult) error {
@@ -201,6 +197,10 @@ func writeSummariesJSON(path string, scale float64, results []experiment.RunResu
 	return experiment.WriteJSONAtomic(path, doc)
 }
 
+// runMatrix is the -sweep mode: the three repro scenarios × N seeds
+// at the given scale (plus the grid scenarios with -grid), aggregated
+// to mean±stddev per scenario — a robustness check that the headline
+// numbers are not one-seed flukes.
 func runMatrix(nSeeds int, scale float64, workers int, grid bool, jsonOut string) {
 	m := experiment.Matrix{
 		Scenarios: []string{"day", "plenary", "ladder"},
@@ -212,19 +212,18 @@ func runMatrix(nSeeds int, scale float64, workers int, grid bool, jsonOut string
 	for s := int64(1); s <= int64(nSeeds); s++ {
 		m.Seeds = append(m.Seeds, s)
 	}
-	specs, err := m.Expand()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ietfrepro:", err)
-		profStop()
-		os.Exit(1)
-	}
 	// SIGINT/SIGTERM stops dispatching further seeds; completed runs
 	// still aggregate, so an interrupted robustness sweep reports the
 	// seeds it finished.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	eng := &experiment.Engine{Workers: workers}
-	results := eng.RunContext(ctx, specs)
+	ex, err := experiment.Runner{}.Execute(ctx, experiment.RunSpecOpts{Matrix: m, Workers: workers})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ietfrepro:", err)
+		profStop()
+		os.Exit(1)
+	}
+	results := ex.Results
 	failed, canceled := 0, 0
 	for _, res := range results {
 		switch {
@@ -241,7 +240,7 @@ func runMatrix(nSeeds int, scale float64, workers int, grid bool, jsonOut string
 			canceled, len(results), len(results)-canceled)
 		title = fmt.Sprintf("Repro matrix (%d of %d runs; interrupted)", len(results)-canceled, len(results))
 	}
-	aggs := experiment.Aggregate(results)
+	aggs := ex.Aggregates
 	experiment.AggregateTable(title, aggs).WriteTo(os.Stdout)
 	if jsonOut != "" {
 		doc := struct {

@@ -173,11 +173,6 @@ func main() {
 		return
 	}
 
-	specs, err := m.Expand()
-	if err != nil {
-		fatal(err)
-	}
-
 	if *campaign != "" || *resume != "" {
 		if *campaign != "" && *resume != "" {
 			fatal(errors.New("-campaign and -resume are mutually exclusive"))
@@ -185,45 +180,48 @@ func main() {
 		if *reduce {
 			fatal(errors.New("-reduce does not apply to campaigns (the journal already bounds memory)"))
 		}
-		runCampaignMode(ctx, *campaign, *resume, m, experiment.CampaignOptions{
-			Workers:    *workers,
-			Metrics:    splitList(*metrics),
-			Checkpoint: phy.Micros(*checkp * float64(phy.MicrosPerSecond)),
-		}, *jsonOut)
+		opts := experiment.RunSpecOpts{
+			Mode:             experiment.ModeCampaign,
+			Matrix:           m,
+			Workers:          *workers,
+			Metrics:          splitList(*metrics),
+			CampaignDir:      *campaign,
+			CheckpointMicros: int64(*checkp * float64(phy.MicrosPerSecond)),
+		}
+		if *resume != "" {
+			// campaign.json is authoritative: the matrix, metrics, and
+			// checkpoint interval come from it.
+			opts.CampaignDir, opts.Resume = *resume, true
+		}
+		runCampaignMode(ctx, opts, *jsonOut)
 		return
 	}
 
-	eng := &experiment.Engine{Workers: *workers, Metrics: splitList(*metrics)}
-	var results []experiment.RunResult
-	var aggs []experiment.Aggregated
-	failed, canceled := 0, 0
+	opts := experiment.RunSpecOpts{Matrix: m, Workers: *workers, Metrics: splitList(*metrics)}
 	if *reduce {
 		// Reduce-as-you-go: per-run Results are dropped the moment
 		// their summary folds into the aggregates, so the matrix size
 		// no longer bounds memory.
-		var errs []error
-		aggs, errs = eng.RunReduceContext(ctx, specs)
-		for i, err := range errs {
-			switch {
-			case errors.Is(err, context.Canceled):
-				canceled++
-			case err != nil:
-				failed++
-				s := specs[i]
-				fmt.Fprintf(os.Stderr, "wlansweep: %s seed=%d scale=%g: %v\n", s.Name, s.Seed, s.Scale, err)
-			}
-		}
-	} else {
-		results = eng.RunContext(ctx, specs)
-		aggs = experiment.Aggregate(results)
-		for _, r := range results {
-			switch {
-			case errors.Is(r.Err, context.Canceled):
-				canceled++
-			case r.Err != nil:
-				failed++
-				fmt.Fprintf(os.Stderr, "wlansweep: %s seed=%d scale=%g: %v\n", r.Spec.Name, r.Spec.Seed, r.Spec.Scale, r.Err)
-			}
+		opts.Mode = experiment.ModeReduce
+	}
+	ex, err := experiment.Runner{}.Execute(ctx, opts)
+	if err != nil {
+		fatal(err)
+	}
+	specs, results, aggs := ex.Specs, ex.Results, ex.Aggregates
+	errs := ex.Errs // reduce mode; collect mode carries them per result
+	for _, r := range results {
+		errs = append(errs, r.Err)
+	}
+	failed, canceled := 0, 0
+	for i, err := range errs {
+		switch {
+		case errors.Is(err, context.Canceled):
+			canceled++
+		case err != nil:
+			failed++
+			s := specs[i]
+			fmt.Fprintf(os.Stderr, "wlansweep: %s seed=%d scale=%g: %v\n", s.Name, s.Seed, s.Scale, err)
 		}
 	}
 	if canceled > 0 {
@@ -289,20 +287,14 @@ func main() {
 // runCampaignMode runs or resumes a crash-resumable campaign and
 // reports it. Exit statuses match the plain path: 130 when
 // interrupted (resume later with -resume), 2 on hard errors.
-func runCampaignMode(ctx context.Context, startDir, resumeDir string, m experiment.Matrix, opts experiment.CampaignOptions, jsonOut string) {
-	dir := startDir
-	var res *experiment.CampaignResult
-	var err error
-	if resumeDir != "" {
-		dir = resumeDir
-		res, err = experiment.ResumeCampaign(ctx, dir, opts)
-	} else {
-		res, err = experiment.RunCampaign(ctx, dir, m, opts)
-	}
+func runCampaignMode(ctx context.Context, opts experiment.RunSpecOpts, jsonOut string) {
+	dir := opts.CampaignDir
+	ex, err := experiment.Runner{}.Execute(ctx, opts)
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		fatal(err)
 	}
+	res := ex.Campaign
 
 	done := 0
 	for _, d := range res.Done {

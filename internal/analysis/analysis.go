@@ -6,8 +6,7 @@
 // (Sec 4.4, Equation 1), the 16 size×rate frame categories (Sec 6),
 // and the per-figure aggregations for Figures 4–15.
 //
-// Unlike the batch core.Analyze of earlier revisions, the analysis is
-// a streaming pipeline: a shared single-pass decoder parses each
+// The analysis is a streaming pipeline: a shared single-pass decoder parses each
 // record once, tracks DCF exchange state, and fans annotated
 // FrameEvents out to independent Metric stages — one per paper figure
 // group — selected through Options.Metrics. Records arrive

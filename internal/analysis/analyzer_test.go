@@ -1,4 +1,4 @@
-package core
+package analysis
 
 import (
 	"testing"
@@ -8,40 +8,6 @@ import (
 	"wlan80211/internal/phy"
 	"wlan80211/internal/stats"
 )
-
-var (
-	apAddr  = dot11.AddrFromUint64(0x01)
-	staAddr = dot11.AddrFromUint64(0x02)
-	sta2    = dot11.AddrFromUint64(0x03)
-)
-
-// rec wraps a frame into a capture record.
-func rec(t phy.Micros, f dot11.Frame, r phy.Rate) capture.Record {
-	wire := f.AppendTo(nil)
-	return capture.Record{
-		Time: t, Rate: r, Channel: phy.Channel1,
-		SignalDBm: -50, NoiseDBm: -95,
-		OrigLen: f.WireLen(), Frame: wire,
-	}
-}
-
-// dataAck builds a DATA(+ACK) exchange starting at t and returns the
-// records plus the time just after the ACK.
-func dataAck(t phy.Micros, ta dot11.Addr, size int, r phy.Rate, seq uint16, retry bool) ([]capture.Record, phy.Micros) {
-	d := dot11.NewData(apAddr, ta, apAddr, seq, make([]byte, size))
-	d.FC.ToDS = true
-	d.FC.Retry = retry
-	recs := []capture.Record{rec(t, d, r)}
-	end := t + phy.Airtime(d.WireLen(), r)
-	ack := dot11.NewACK(ta)
-	recs = append(recs, rec(end+phy.SIFS, ack, phy.Rate1Mbps))
-	return recs, end + phy.SIFS + phy.Airtime(14, phy.Rate1Mbps)
-}
-
-func beaconRec(t phy.Micros) capture.Record {
-	b := dot11.NewBeacon(apAddr, "net", 1, uint64(t), 1)
-	return rec(t, b, phy.Rate1Mbps)
-}
 
 func TestAnalyzeEmptyTrace(t *testing.T) {
 	r := Analyze(nil)

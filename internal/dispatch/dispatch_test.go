@@ -30,7 +30,9 @@ func testMatrix() experiment.Matrix {
 func referenceReport(t *testing.T, m experiment.Matrix) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	res, err := experiment.RunCampaign(context.Background(), dir, m, experiment.CampaignOptions{Workers: 2})
+	ex, err := experiment.Runner{}.Execute(context.Background(), experiment.RunSpecOpts{
+		Mode: experiment.ModeCampaign, Matrix: m, Workers: 2, CampaignDir: dir,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func referenceReport(t *testing.T, m experiment.Matrix) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.MarshalIndent(res.Report(man), "", "  ")
+	data, err := json.MarshalIndent(ex.Campaign.Report(man), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

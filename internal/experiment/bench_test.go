@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 )
 
@@ -11,22 +12,20 @@ import (
 // comparable across PRs like the Table 1 counts in BENCH_3.
 func BenchmarkGridMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		specs, err := (Matrix{
+		ex, err := Runner{}.Execute(context.Background(), RunSpecOpts{Matrix: Matrix{
 			Scenarios: []string{"grid", "grid9"},
 			Seeds:     []int64{1, 2},
 			Scales:    []float64{0.5},
-		}).Expand()
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := (&Engine{}).Run(specs)
-		for _, r := range results {
+		for _, r := range ex.Results {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}
 		}
-		aggs := Aggregate(results)
-		for _, a := range aggs {
+		for _, a := range ex.Aggregates {
 			prefix := a.Scenario + "_"
 			b.ReportMetric(a.Field("frames").Mean, prefix+"frames")
 			b.ReportMetric(a.Field("modal_util_pct").Mean, prefix+"modal_util_pct")
@@ -37,25 +36,24 @@ func BenchmarkGridMatrix(b *testing.B) {
 }
 
 // BenchmarkGridReduce measures the reduce-as-you-go mode on the same
-// matrix (the path very large matrices take).
+// matrix (the path very large matrices take). It reads the pool's
+// peak pending count through the package-internal execute.
 func BenchmarkGridReduce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		specs, err := (Matrix{
+		ex, peak, err := execute(context.Background(), RunSpecOpts{Mode: ModeReduce, Matrix: Matrix{
 			Scenarios: []string{"grid"},
 			Seeds:     []int64{1, 2, 3},
 			Scales:    []float64{0.5},
-		}).Expand()
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := &Engine{}
-		aggs, errs := eng.RunReduce(specs)
-		for _, e := range errs {
+		for _, e := range ex.Errs {
 			if e != nil {
 				b.Fatal(e)
 			}
 		}
-		b.ReportMetric(aggs[0].Field("frames").Mean, "frames")
-		b.ReportMetric(float64(eng.PeakPending()), "peak_pending")
+		b.ReportMetric(ex.Aggregates[0].Field("frames").Mean, "frames")
+		b.ReportMetric(float64(peak), "peak_pending")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 
 	"wlan80211/internal/analysis"
@@ -46,27 +45,6 @@ const (
 	journalName  = "journal.jsonl"
 	snapshotsDir = "snapshots"
 )
-
-// CampaignOptions configures a campaign run.
-type CampaignOptions struct {
-	// Workers bounds concurrent runs; <=0 means GOMAXPROCS. Forced to
-	// 1 when an Injector is armed, so crash instants are reproducible.
-	Workers int
-	// Metrics selects analysis stages by name (empty = all).
-	Metrics []string
-	// Checkpoint is the mid-run snapshot interval in sim time; 0
-	// disables mid-run snapshots (the journal alone still makes
-	// completed runs skippable).
-	Checkpoint phy.Micros
-	// Injector arms a deterministic crash point (tests and the CI
-	// kill-and-resume job).
-	Injector *faultinject.Injector
-	// Range restricts execution to spec indices [From, To) of the
-	// expanded matrix — a dispatch worker's leased shard. The matrix
-	// (and the journal's index space) stays global, so shard journals
-	// from different ranges fold together in global spec order.
-	Range *SpecRange
-}
 
 // Manifest is the persisted campaign identity (campaign.json).
 type Manifest struct {
@@ -264,49 +242,18 @@ func (j *journal) append(rec RunRecord, inj *faultinject.Injector) error {
 
 func (j *journal) close() error { return j.f.Close() }
 
-// RunCampaign starts (or continues — the journal makes it idempotent)
-// a campaign in dir. The directory is created if needed; an existing
-// campaign.json must describe the same matrix and options.
-//
-// Deprecated: RunCampaign is a thin compat wrapper over
-// Runner.Execute with ModeCampaign; new callers should use Runner.
-func RunCampaign(ctx context.Context, dir string, m Matrix, opts CampaignOptions) (*CampaignResult, error) {
-	ex, err := (&Runner{}).Execute(ctx, RunSpecOpts{
-		Mode: ModeCampaign, Matrix: m, CampaignDir: dir,
-		Workers: opts.Workers, Metrics: opts.Metrics,
-		CheckpointMicros: int64(opts.Checkpoint),
-		Range:            opts.Range, Injector: opts.Injector,
-	})
-	if ex == nil {
+// startCampaignDir creates (or matches) the campaign manifest in
+// opts.CampaignDir and runs the pending specs — Execute's ModeCampaign
+// start path. The campaign is idempotent: the journal skips finished
+// runs, and an existing campaign.json must describe the same matrix
+// and options.
+func startCampaignDir(ctx context.Context, opts RunSpecOpts) (*CampaignResult, error) {
+	specs, err := opts.Matrix.Expand()
+	if err != nil {
 		return nil, err
 	}
-	return ex.Campaign, err
-}
-
-// ResumeCampaign continues the campaign in dir, re-expanding the
-// matrix from campaign.json: finished runs are folded straight from
-// the journal, interrupted ones are deterministically replayed with
-// their latest snapshot verified byte-for-byte at its sim instant.
-//
-// Deprecated: ResumeCampaign is a thin compat wrapper over
-// Runner.Execute with ModeCampaign and Resume; new callers should use
-// Runner.
-func ResumeCampaign(ctx context.Context, dir string, opts CampaignOptions) (*CampaignResult, error) {
-	ex, err := (&Runner{}).Execute(ctx, RunSpecOpts{
-		Mode: ModeCampaign, CampaignDir: dir, Resume: true,
-		Workers: opts.Workers, Injector: opts.Injector,
-	})
-	if ex == nil {
-		return nil, err
-	}
-	return ex.Campaign, err
-}
-
-// startCampaignDir creates (or matches) the campaign manifest in dir
-// and runs the pending specs — Runner.Execute's ModeCampaign start
-// path.
-func startCampaignDir(ctx context.Context, dir string, m Matrix, opts CampaignOptions) (*CampaignResult, error) {
-	man := Manifest{Version: 1, Matrix: m, CheckpointMicros: int64(opts.Checkpoint), Metrics: opts.Metrics, Range: opts.Range}
+	dir := opts.CampaignDir
+	man := Manifest{Version: 1, Matrix: opts.Matrix, CheckpointMicros: opts.CheckpointMicros, Metrics: opts.Metrics, Range: opts.Range}
 	if err := os.MkdirAll(filepath.Join(dir, snapshotsDir), 0o755); err != nil {
 		return nil, err
 	}
@@ -322,23 +269,31 @@ func startCampaignDir(ctx context.Context, dir string, m Matrix, opts CampaignOp
 	} else if err := WriteJSONAtomic(manPath, man); err != nil {
 		return nil, err
 	}
-	return runCampaign(ctx, dir, man, opts)
+	return runCampaign(ctx, specs, opts)
 }
 
-// resumeCampaignDir continues the campaign in dir with the on-disk
-// manifest authoritative — Runner.Execute's ModeCampaign resume path.
-func resumeCampaignDir(ctx context.Context, dir string, opts CampaignOptions) (*CampaignResult, error) {
+// resumeCampaignDir continues the campaign in opts.CampaignDir with
+// the on-disk manifest authoritative — Execute's ModeCampaign resume
+// path: finished runs fold straight from the journal, interrupted ones
+// are deterministically replayed with their latest snapshot verified
+// byte-for-byte at its sim instant.
+func resumeCampaignDir(ctx context.Context, opts RunSpecOpts) (*CampaignResult, error) {
+	dir := opts.CampaignDir
 	man, err := readManifest(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: resume %s: %w", dir, err)
 	}
-	opts.Checkpoint = phy.Micros(man.CheckpointMicros)
+	specs, err := man.Matrix.Expand()
+	if err != nil {
+		return nil, err
+	}
+	opts.CheckpointMicros = man.CheckpointMicros
 	opts.Metrics = man.Metrics
 	opts.Range = man.Range
 	if err := os.MkdirAll(filepath.Join(dir, snapshotsDir), 0o755); err != nil {
 		return nil, err
 	}
-	return runCampaign(ctx, dir, man, opts)
+	return runCampaign(ctx, specs, opts)
 }
 
 // ReadManifest loads a campaign directory's manifest.
@@ -396,14 +351,20 @@ func FoldRecords(man Manifest, recs []RunRecord) (*CampaignResult, error) {
 		res.Done[rec.Index] = true
 		res.FromJournal++
 	}
-	var rrs []RunResult
-	for i := range specs {
-		if res.Done[i] {
-			rrs = append(rrs, RunResult{Spec: specs[i], Summary: res.Records[i].Summary})
+	res.aggregate()
+	return res, nil
+}
+
+// aggregate folds the done records in spec order — exactly the
+// reduction an uninterrupted collect run of the same specs performs.
+func (r *CampaignResult) aggregate() {
+	var red reducer
+	for i, spec := range r.Specs {
+		if r.Done[i] {
+			red.add(spec, r.Records[i].Summary, nil)
 		}
 	}
-	res.Aggregates = Aggregate(rrs)
-	return res, nil
+	r.Aggregates = red.result()
 }
 
 func readManifest(path string) (Manifest, error) {
@@ -421,12 +382,13 @@ func readManifest(path string) (Manifest, error) {
 	return man, nil
 }
 
-func runCampaign(ctx context.Context, dir string, man Manifest, opts CampaignOptions) (*CampaignResult, error) {
-	specs, err := man.Matrix.Expand()
-	if err != nil {
-		return nil, err
-	}
-	j, journaled, err := openJournal(filepath.Join(dir, journalName))
+// runCampaign folds the journal into the campaign's expanded specs,
+// runs every pending spec in the campaign's range on the shared pool —
+// each worker journals its own completions, and dispatch stops on the
+// first failure — and aggregates the done runs in spec order. The
+// returned error is the first failure in spec order.
+func runCampaign(ctx context.Context, specs []Spec, opts RunSpecOpts) (*CampaignResult, error) {
+	j, journaled, err := openJournal(filepath.Join(opts.CampaignDir, journalName))
 	if err != nil {
 		return nil, err
 	}
@@ -457,76 +419,46 @@ func runCampaign(ctx context.Context, dir string, man Manifest, opts CampaignOpt
 		}
 	}
 
-	eng := &Engine{Workers: opts.Workers, Metrics: opts.Metrics}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	type cell struct {
+		rec      RunRecord
+		verified bool
+		err      error
 	}
+	workers := opts.Workers
 	if opts.Injector != nil {
 		workers = 1 // reproducible crash instants
 	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		verified int
-	)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rec, didVerify, err := runCellRecovered(eng, dir, specs[i], i, opts, j)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("run %d (%s seed=%d scale=%g): %w", i, specs[i].Name, specs[i].Seed, specs[i].Scale, err)
-					}
-				} else {
-					res.Records[i] = rec
-					res.Done[i] = true
-					if didVerify {
-						verified++
-					}
-				}
-				mu.Unlock()
+	var firstErr error
+	pool[cell]{
+		workers: workers,
+		run: func(k int) cell {
+			i := pending[k]
+			rec, verified, err := runCellRecovered(specs[i], i, opts, j)
+			if err != nil {
+				err = fmt.Errorf("run %d (%s seed=%d scale=%g): %w", i, specs[i].Name, specs[i].Seed, specs[i].Scale, err)
 			}
-		}()
-	}
-dispatch:
-	for _, i := range pending {
-		mu.Lock()
-		failed := firstErr != nil
-		mu.Unlock()
-		if failed {
-			break
-		}
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	res.Verified = verified
+			return cell{rec, verified, err}
+		},
+		fold: func(k int, c cell) {
+			if c.err != nil {
+				if firstErr == nil {
+					firstErr = c.err
+				}
+				return
+			}
+			res.Records[pending[k]] = c.rec
+			res.Done[pending[k]] = true
+			if c.verified {
+				res.Verified++
+			}
+		},
+		halt: func(c cell) bool { return c.err != nil },
+	}.execute(ctx, len(pending))
 	if firstErr != nil {
 		return res, firstErr
 	}
 
-	// Fold in spec order — exactly the uninterrupted Aggregate path.
-	var rrs []RunResult
-	for i := range specs {
-		if res.Done[i] {
-			rrs = append(rrs, RunResult{Spec: specs[i], Summary: res.Records[i].Summary})
-		}
-	}
-	res.Aggregates = Aggregate(rrs)
+	res.aggregate()
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
@@ -538,7 +470,7 @@ dispatch:
 // with the on-disk state exactly as-at-crash — the in-process
 // equivalent of a SIGKILL at that instant, which is what the
 // kill-and-resume tests exercise. Real panics propagate.
-func runCellRecovered(eng *Engine, dir string, spec Spec, idx int, opts CampaignOptions, j *journal) (rec RunRecord, didVerify bool, err error) {
+func runCellRecovered(spec Spec, idx int, opts RunSpecOpts, j *journal) (rec RunRecord, didVerify bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if c, ok := r.(faultinject.Crashed); ok {
@@ -548,19 +480,19 @@ func runCellRecovered(eng *Engine, dir string, spec Spec, idx int, opts Campaign
 			panic(r)
 		}
 	}()
-	return runCampaignCell(eng, dir, spec, idx, opts, j)
+	return runCampaignCell(spec, idx, opts, j)
 }
 
 // runCampaignCell executes one pending run with checkpointing, then
 // journals its completion and retires its snapshot.
-func runCampaignCell(eng *Engine, dir string, spec Spec, idx int, opts CampaignOptions, j *journal) (RunRecord, bool, error) {
+func runCampaignCell(spec Spec, idx int, opts RunSpecOpts, j *journal) (RunRecord, bool, error) {
 	env := checkpointEnv{
-		interval: opts.Checkpoint,
+		interval: phy.Micros(opts.CheckpointMicros),
 		runIdx:   idx,
 		inj:      opts.Injector,
 	}
-	snapPath := filepath.Join(dir, snapshotsDir, fmt.Sprintf("run-%d.snap", idx))
-	if opts.Checkpoint > 0 {
+	snapPath := filepath.Join(opts.CampaignDir, snapshotsDir, fmt.Sprintf("run-%d.snap", idx))
+	if opts.CheckpointMicros > 0 {
 		env.snapPath = snapPath
 	}
 	if f, err := snapshot.ReadFile(snapPath); err == nil {
@@ -574,20 +506,17 @@ func runCampaignCell(eng *Engine, dir string, spec Spec, idx int, opts CampaignO
 		env.verify = f
 		env.verifyT = meta.SimTime
 		env.interval = meta.Interval
-		if opts.Checkpoint > 0 {
-			env.snapPath = snapPath
-		}
 	} else if !os.IsNotExist(err) {
 		// A snapshot exists but does not validate: fail loud, never
 		// silently rerun over possibly-damaged campaign state.
 		return RunRecord{}, false, err
 	}
 
-	sum, hash, err := eng.runOneCheckpointed(spec, env)
+	r, hash, err := runCell(spec, opts.Metrics, &env)
 	if err != nil {
 		return RunRecord{}, false, err
 	}
-	rec := RunRecord{Index: idx, Name: spec.Name, Seed: spec.Seed, Scale: spec.Scale, Summary: sum, TraceHash: hash}
+	rec := RunRecord{Index: idx, Name: spec.Name, Seed: spec.Seed, Scale: spec.Scale, Summary: Summarize(r), TraceHash: hash}
 	if err := j.append(rec, opts.Injector); err != nil {
 		return RunRecord{}, false, err
 	}
@@ -641,71 +570,6 @@ type checkpointEnv struct {
 	verifyT  phy.Micros     // sim instant the snapshot was taken at
 	runIdx   int
 	inj      *faultinject.Injector
-}
-
-// runOneCheckpointed is runOne with the campaign pipeline: a
-// TraceHasher between reorder and analyzer, periodic state snapshots,
-// and — on resume — byte-for-byte verification of the stored snapshot
-// against the deterministically replayed state at the same instant.
-func (e *Engine) runOneCheckpointed(spec Spec, env checkpointEnv) (Summary, string, error) {
-	run, err := spec.Scenario.Build()
-	if err != nil {
-		return Summary{}, "", err
-	}
-	a, err := analysis.New(analysis.Options{Metrics: e.Metrics})
-	if err != nil {
-		return Summary{}, "", err
-	}
-	th := NewTraceHasher(a.Feed)
-	ro := NewReorder(th.Add)
-	sink := ro.Add
-	var dd *Dedup
-	if ms, ok := run.(MultiSnifferRun); ok && ms.MultiSniffer() {
-		dd = NewDedup(ro.Add)
-		sink = dd.Add
-	}
-
-	cp, can := run.(Checkpointable)
-	switch {
-	case env.verify != nil && !can:
-		return Summary{}, "", fmt.Errorf("scenario is not checkpointable but snapshot exists")
-	case !can || (env.snapPath == "" && env.verify == nil):
-		// Run-to-completion fallback (non-checkpointable custom
-		// scenario, or checkpointing off): the journal still records
-		// the completion.
-		if err := run.Stream(sink); err != nil {
-			return Summary{}, "", err
-		}
-	default:
-		cpIdx := 0
-		verified := env.verify == nil
-		err := cp.StreamSlices(sink, env.interval, func(t phy.Micros) error {
-			if env.verify != nil && t == env.verifyT {
-				if err := verifySnapshot(env.verify, cp, th, a, ro, dd); err != nil {
-					return err
-				}
-				verified = true
-			}
-			if env.snapPath != "" {
-				data := buildRunSnapshot(spec, env.runIdx, t, env.interval, cpIdx, cp, th, a, ro, dd)
-				if err := snapshot.AtomicWriteFile(env.snapPath, data); err != nil {
-					return err
-				}
-				env.inj.AtCheckpoint(env.runIdx, cpIdx)
-				cpIdx++
-			}
-			return nil
-		})
-		if err != nil {
-			return Summary{}, "", err
-		}
-		if !verified {
-			return Summary{}, "", fmt.Errorf("replay never reached snapshot instant t=%dus (interval changed?)", env.verifyT)
-		}
-	}
-
-	ro.Flush()
-	return Summarize(a.Result()), th.Sum(), nil
 }
 
 // buildRunSnapshot assembles a run's checkpoint: identity, simulator

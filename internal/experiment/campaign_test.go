@@ -24,12 +24,22 @@ func traceHashOf(t *testing.T, name string, seed int64, scale float64, env check
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &Engine{Workers: 1}
-	sum, hash, err := eng.runOneCheckpointed(Spec{Name: name, Seed: seed, Scale: scale, Scenario: sc}, env)
+	r, hash, err := runCell(Spec{Name: name, Seed: seed, Scale: scale, Scenario: sc}, nil, &env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sum, hash
+	return Summarize(r), hash
+}
+
+// campaign executes opts as a campaign in dir (continuing it with
+// opts.Resume) and returns the campaign state, partial on error.
+func campaign(ctx context.Context, dir string, opts RunSpecOpts) (*CampaignResult, error) {
+	opts.Mode, opts.CampaignDir = ModeCampaign, dir
+	ex, err := Runner{}.Execute(ctx, opts)
+	if ex == nil {
+		return nil, err
+	}
+	return ex.Campaign, err
 }
 
 // TestCheckpointedTraceHashMatchesUninterrupted is the tentpole
@@ -125,8 +135,7 @@ func TestVerifyRejectsForeignSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &Engine{Workers: 1}
-	_, _, err = eng.runOneCheckpointed(Spec{Name: "day", Seed: 2, Scale: 0.1, Scenario: sc}, checkpointEnv{
+	_, _, err = runCell(Spec{Name: "day", Seed: 2, Scale: 0.1, Scenario: sc}, nil, &checkpointEnv{
 		interval: meta.Interval, verify: f, verifyT: meta.SimTime,
 	})
 	if err == nil || !strings.Contains(err.Error(), "does not match replayed state") {
@@ -149,10 +158,10 @@ func campaignMatrix() Matrix {
 func TestCampaignKillAndResume(t *testing.T) {
 	ctx := context.Background()
 	m := campaignMatrix()
-	opts := CampaignOptions{Workers: 1, Checkpoint: 2 * phy.MicrosPerSecond}
+	opts := RunSpecOpts{Matrix: m, Workers: 1, CheckpointMicros: 2 * phy.MicrosPerSecond}
 
 	refDir := t.TempDir()
-	ref, err := RunCampaign(ctx, refDir, m, opts)
+	ref, err := campaign(ctx, refDir, opts)
 	if err != nil {
 		t.Fatalf("reference campaign: %v", err)
 	}
@@ -188,13 +197,13 @@ func TestCampaignKillAndResume(t *testing.T) {
 			dir := t.TempDir()
 			crashOpts := opts
 			crashOpts.Injector = faultinject.New(plan)
-			_, err := RunCampaign(ctx, dir, m, crashOpts)
+			_, err := campaign(ctx, dir, crashOpts)
 			var crashed faultinject.Crashed
 			if !errors.As(err, &crashed) {
 				t.Fatalf("campaign did not crash: err=%v", err)
 			}
 
-			resumed, err := ResumeCampaign(ctx, dir, CampaignOptions{Workers: 1})
+			resumed, err := campaign(ctx, dir, RunSpecOpts{Resume: true, Workers: 1})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -223,7 +232,7 @@ func TestCampaignKillAndResume(t *testing.T) {
 			}
 			// Resuming a finished campaign is a no-op fold from the
 			// journal alone.
-			again, err := ResumeCampaign(ctx, dir, CampaignOptions{Workers: 1})
+			again, err := campaign(ctx, dir, RunSpecOpts{Resume: true, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,10 +251,10 @@ func TestCampaignKillAndResume(t *testing.T) {
 // resume completes the matrix to the bit-identical reference.
 func TestCampaignInterruptedContext(t *testing.T) {
 	m := campaignMatrix()
-	opts := CampaignOptions{Workers: 1, Checkpoint: 2 * phy.MicrosPerSecond}
+	opts := RunSpecOpts{Matrix: m, Workers: 1, CheckpointMicros: 2 * phy.MicrosPerSecond}
 
 	refDir := t.TempDir()
-	ref, err := RunCampaign(context.Background(), refDir, m, opts)
+	ref, err := campaign(context.Background(), refDir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,14 +262,14 @@ func TestCampaignInterruptedContext(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancel before dispatch: nothing runs, nothing breaks
-	res, err := RunCampaign(ctx, dir, m, opts)
+	res, err := campaign(ctx, dir, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if res == nil {
 		t.Fatal("no partial result")
 	}
-	resumed, err := ResumeCampaign(context.Background(), dir, CampaignOptions{Workers: 1})
+	resumed, err := campaign(context.Background(), dir, RunSpecOpts{Resume: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,12 +360,12 @@ func TestCampaignRejectsDifferentMatrix(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1}, Scales: []float64{0.1}}
-	if _, err := RunCampaign(ctx, dir, m, CampaignOptions{Workers: 1}); err != nil {
+	if _, err := campaign(ctx, dir, RunSpecOpts{Matrix: m, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	m2 := m
 	m2.Seeds = []int64{9}
-	if _, err := RunCampaign(ctx, dir, m2, CampaignOptions{Workers: 1}); err == nil {
+	if _, err := campaign(ctx, dir, RunSpecOpts{Matrix: m2, Workers: 1}); err == nil {
 		t.Fatal("different matrix accepted into existing campaign dir")
 	}
 }
@@ -364,11 +373,11 @@ func TestCampaignRejectsDifferentMatrix(t *testing.T) {
 func TestCampaignParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	m := campaignMatrix()
-	a, err := RunCampaign(ctx, t.TempDir(), m, CampaignOptions{Workers: 1, Checkpoint: 2 * phy.MicrosPerSecond})
+	a, err := campaign(ctx, t.TempDir(), RunSpecOpts{Matrix: m, Workers: 1, CheckpointMicros: 2 * phy.MicrosPerSecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampaign(ctx, t.TempDir(), m, CampaignOptions{Workers: 4, Checkpoint: 2 * phy.MicrosPerSecond})
+	b, err := campaign(ctx, t.TempDir(), RunSpecOpts{Matrix: m, Workers: 4, CheckpointMicros: 2 * phy.MicrosPerSecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,17 +390,12 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 }
 
 // TestCampaignMatchesEngine: campaign aggregates are bit-identical to
-// the plain engine path over the same matrix (the checkpoint pipeline
+// the plain collect path over the same matrix (the checkpoint pipeline
 // must not perturb analysis).
 func TestCampaignMatchesEngine(t *testing.T) {
 	m := campaignMatrix()
-	specs, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := &Engine{Workers: 1}
-	want := Aggregate(eng.Run(specs))
-	got, err := RunCampaign(context.Background(), t.TempDir(), m, CampaignOptions{Workers: 1, Checkpoint: 2 * phy.MicrosPerSecond})
+	want := Aggregate(collect(t, m, 1))
+	got, err := campaign(context.Background(), t.TempDir(), RunSpecOpts{Matrix: m, Workers: 1, CheckpointMicros: 2 * phy.MicrosPerSecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@ import (
 	"sync"
 
 	"wlan80211/internal/analysis"
+	"wlan80211/internal/phy"
 	"wlan80211/internal/report"
+	"wlan80211/internal/snapshot"
 	"wlan80211/internal/stats"
 )
 
@@ -139,272 +141,175 @@ type RunResult struct {
 	Err    error
 }
 
-// Engine executes matrix specs on a bounded worker pool, streaming
-// each run straight into its own sequential analyzer.
-type Engine struct {
-	// Workers bounds concurrent runs; <=0 means GOMAXPROCS.
-	Workers int
-	// Metrics selects analysis stages by name (empty = all).
-	Metrics []string
-
-	// peakPending is RunReduce's retention high-water mark (see
-	// PeakPending).
-	peakPending int
-}
-
-// Run executes every spec and returns results in spec order, so
-// downstream aggregation is deterministic regardless of worker count
-// or completion order. Per-run failures land in RunResult.Err rather
-// than aborting the matrix.
+// runCell executes one spec: build, stream through
+// [Dedup →] Reorder → [TraceHasher →] a fresh sequential analyzer.
+// Runs that declare multi-sniffer channels (MultiSnifferRun) stream
+// through the Dedup window first, which collapses cross-sniffer
+// duplicates exactly as the materialized path's capture.Merge does;
+// everything else keeps the direct, per-frame-overhead-free path. The
+// analyzer runs unsharded — cross-run parallelism already saturates
+// the pool, and the sequential path is the one that never retains
+// frame bytes, which is what lets the whole pipeline run without
+// materializing.
 //
-// Deprecated: Run is a thin compat wrapper over Runner.Execute with
-// ModeCollect; new callers should use Runner.
-func (e *Engine) Run(specs []Spec) []RunResult {
-	if specs == nil {
-		specs = []Spec{} // nil means "use Matrix" to Execute
-	}
-	ex, _ := (&Runner{Engine: e}).Execute(context.Background(), RunSpecOpts{Mode: ModeCollect, Specs: specs})
-	return ex.Results
-}
-
-// RunContext is Run with cooperative cancellation: once ctx is done,
-// no further specs are dispatched; in-flight runs complete (a run is
-// not interruptible mid-stream) and every undispatched spec's
-// RunResult carries ctx.Err(). The partial results that did complete
-// are returned normally, so a CLI can still aggregate and report them
-// after SIGINT/SIGTERM.
-func (e *Engine) RunContext(ctx context.Context, specs []Spec) []RunResult {
-	results := make([]RunResult, len(specs))
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = e.runOne(specs[i])
-			}
-		}()
-	}
-dispatch:
-	for i := range specs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			for j := i; j < len(specs); j++ {
-				results[j] = RunResult{Spec: specs[j], Err: ctx.Err()}
-			}
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	return results
-}
-
-// runOne executes one cell: build, stream through the reordering
-// bridge into a fresh sequential analyzer, summarize. Runs that
-// declare multi-sniffer channels (MultiSnifferRun) stream through the
-// Dedup window first, which collapses cross-sniffer duplicates
-// exactly as the materialized path's capture.Merge does; everything
-// else keeps the direct, per-frame-overhead-free path. The analyzer
-// runs unsharded — cross-run parallelism already saturates the pool,
-// and the sequential path is the one that never retains frame bytes,
-// which is what lets the whole pipeline run without materializing.
-func (e *Engine) runOne(spec Spec) RunResult {
+// A nil env is the plain collect/reduce cell: no trace hash, no
+// snapshots. A non-nil env is a campaign cell: a TraceHasher sits
+// between reorder and analyzer (the returned hash), the run is sliced
+// at env.interval to write snapshots, and — on resume — the stored
+// snapshot is verified byte-for-byte against the deterministically
+// replayed state at the same instant.
+func runCell(spec Spec, metrics []string, env *checkpointEnv) (*analysis.Result, string, error) {
 	run, err := spec.Scenario.Build()
 	if err != nil {
-		return RunResult{Spec: spec, Err: err}
+		return nil, "", err
 	}
-	a, err := analysis.New(analysis.Options{Metrics: e.Metrics})
+	a, err := analysis.New(analysis.Options{Metrics: metrics})
 	if err != nil {
-		return RunResult{Spec: spec, Err: err}
+		return nil, "", err
 	}
-	ro := NewReorder(a.Feed)
+	feed := Sink(a.Feed)
+	var th *TraceHasher
+	if env != nil {
+		th = NewTraceHasher(a.Feed)
+		feed = th.Add
+	}
+	ro := NewReorder(feed)
 	sink := ro.Add
+	var dd *Dedup
 	if ms, ok := run.(MultiSnifferRun); ok && ms.MultiSniffer() {
-		sink = NewDedup(ro.Add).Add
+		dd = NewDedup(ro.Add)
+		sink = dd.Add
 	}
-	if err := run.Stream(sink); err != nil {
-		return RunResult{Spec: spec, Err: err}
+
+	cp, can := run.(Checkpointable)
+	switch {
+	case env != nil && env.verify != nil && !can:
+		return nil, "", fmt.Errorf("scenario is not checkpointable but snapshot exists")
+	case env == nil || !can || (env.snapPath == "" && env.verify == nil):
+		// Run to completion: a plain cell, a non-checkpointable custom
+		// scenario, or checkpointing off (the journal still records
+		// the completion).
+		if err := run.Stream(sink); err != nil {
+			return nil, "", err
+		}
+	default:
+		cpIdx := 0
+		verified := env.verify == nil
+		err := cp.StreamSlices(sink, env.interval, func(t phy.Micros) error {
+			if env.verify != nil && t == env.verifyT {
+				if err := verifySnapshot(env.verify, cp, th, a, ro, dd); err != nil {
+					return err
+				}
+				verified = true
+			}
+			if env.snapPath != "" {
+				data := buildRunSnapshot(spec, env.runIdx, t, env.interval, cpIdx, cp, th, a, ro, dd)
+				if err := snapshot.AtomicWriteFile(env.snapPath, data); err != nil {
+					return err
+				}
+				env.inj.AtCheckpoint(env.runIdx, cpIdx)
+				cpIdx++
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, "", err
+		}
+		if !verified {
+			return nil, "", fmt.Errorf("replay never reached snapshot instant t=%dus (interval changed?)", env.verifyT)
+		}
 	}
+
 	ro.Flush()
-	r := a.Result()
-	return RunResult{Spec: spec, Summary: Summarize(r), Result: r}
-}
-
-// RunReduce executes every spec like Run but reduces as it goes: each
-// completed run's full analysis Result is dropped the moment its
-// Summary is extracted, and summaries fold into per-group Welford
-// accumulators in spec order (buffering at most one small Summary per
-// worker to bridge out-of-order completion). Peak retention is
-// therefore O(groups + workers) — not O(runs) — which is what makes
-// very large matrices (hundreds of cells × many seeds) run in flat
-// memory. The aggregates are bit-identical to
-// Aggregate(e.Run(specs)); per-spec failures land in the returned
-// error slice (nil entries for successes) and count in
-// Aggregated.Errors.
-//
-// Deprecated: RunReduce is a thin compat wrapper over Runner.Execute
-// with ModeReduce; new callers should use Runner.
-func (e *Engine) RunReduce(specs []Spec) ([]Aggregated, []error) {
-	if specs == nil {
-		specs = []Spec{} // nil means "use Matrix" to Execute
+	if th == nil {
+		return a.Result(), "", nil
 	}
-	ex, _ := (&Runner{Engine: e}).Execute(context.Background(), RunSpecOpts{Mode: ModeReduce, Specs: specs})
-	return ex.Aggregates, ex.Errs
+	return a.Result(), th.Sum(), nil
 }
 
-// RunReduceContext is RunReduce with cooperative cancellation,
-// mirroring RunContext: once ctx is done no further specs dispatch,
-// in-flight runs complete and fold normally, and every undispatched
-// spec gets ctx.Err() in the error slice (counting in
-// Aggregated.Errors). The partial aggregates remain deterministic:
-// completed runs fold in spec order exactly as without cancellation.
-func (e *Engine) RunReduceContext(ctx context.Context, specs []Spec) ([]Aggregated, []error) {
-	workers := e.Workers
+// pool is the one worker pool every run mode executes on: jobs are
+// indices 0..n-1, run computes a job's outcome on a worker goroutine,
+// and fold consumes outcomes strictly in job order on the calling
+// goroutine — so folding needs no locks, and float accumulation order
+// (every mean and stddev bit) is independent of worker count and
+// completion order.
+type pool[T any] struct {
+	// workers bounds concurrent jobs; <=0 means GOMAXPROCS.
+	workers int
+	// window holds job i back until job i-workers has folded, capping
+	// the finished-but-unfolded outcomes at the worker count (reduce
+	// mode's retention bound). Without it a slow head-of-line job never
+	// idles the other workers, and outcomes wait as long as they must.
+	window bool
+	run    func(k int) T
+	fold   func(k int, v T)
+	// halt, when set, stops dispatch once a finished outcome satisfies
+	// it (a campaign stops on its first failed run).
+	halt func(v T) bool
+}
+
+// execute runs jobs 0..n-1 and returns how many it dispatched — always
+// a prefix, every one of them folded — and the most finished-but-
+// unfolded outcomes it held at once. Before each dispatch it first
+// waits for a free worker, then checks ctx and halt, and only then
+// hands the job out: a cancel that fires inside a run therefore stops
+// all further dispatch. In-flight jobs always complete and fold (a run
+// is not interruptible mid-stream).
+func (p pool[T]) execute(ctx context.Context, n int) (sent, peak int) {
+	workers := p.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	// Group bookkeeping in spec order, mirroring Aggregate.
-	type key struct {
-		name  string
-		scale float64
-	}
-	groupOf := make([]int, len(specs))
-	index := make(map[key]int)
-	var order []key
-	for i, s := range specs {
-		k := key{s.Name, s.Scale}
-		gi, ok := index[k]
-		if !ok {
-			gi = len(order)
-			index[k] = gi
-			order = append(order, k)
-		}
-		groupOf[i] = gi
-	}
-	aggs := make([]Aggregated, len(order))
-	accs := make([][]stats.Welford, len(order))
-	for gi, k := range order {
-		aggs[gi] = Aggregated{Scenario: k.name, Scale: k.scale}
-		accs[gi] = make([]stats.Welford, len(summaryFields))
-	}
-
+	workers = min(workers, n)
 	type done struct {
-		i   int
-		sum Summary
-		err error
+		k int
+		v T
 	}
-	results := make(chan done)
 	jobs := make(chan int)
+	results := make(chan done)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				r := e.runOne(specs[i])
-				r.Result = nil // reduce-as-you-go: only the Summary survives
-				results <- done{i: i, sum: r.Summary, err: r.Err}
+			for k := range jobs {
+				results <- done{k, p.run(k)}
 			}
 		}()
 	}
 
-	// Fold summaries strictly in spec order so the float accumulation
-	// order — and therefore every mean and stddev bit — is independent
-	// of worker count and completion order. Dispatch is windowed: spec
-	// i is not handed out until spec i-workers has been reduced, which
-	// caps the out-of-order buffer at the worker count by construction
-	// (a slow head-of-line run may briefly idle the other workers —
-	// the price of a retention bound that does not degrade to O(runs)).
-	errs := make([]error, len(specs))
-	pending := make(map[int]done, workers)
-	sent, next, peak := 0, 0, 0
-	// total is how many specs will produce worker results; a cancel
-	// freezes it at the dispatch point so the loop only waits for
-	// in-flight runs.
-	total := len(specs)
-	apply := func(r done) {
-		gi := groupOf[r.i]
-		if r.err != nil {
-			errs[r.i] = r.err
-			aggs[gi].Errors++
-			return
-		}
-		aggs[gi].Runs++
-		for fi, f := range summaryFields {
-			accs[gi][fi].Add(f.Get(r.sum))
-		}
-	}
-	for completed := 0; completed < total; {
-		var r done
-		if sent < total && sent < next+workers {
-			select {
-			case jobs <- sent:
-				sent++
-				continue
-			case r = <-results:
-			case <-ctx.Done():
-				total = sent
-				continue
-			}
-		} else {
-			r = <-results
-		}
-		completed++
-		pending[r.i] = r
-		if len(pending) > peak {
-			peak = len(pending)
-		}
-		for {
-			q, ok := pending[next]
-			if !ok {
-				break
-			}
+	pending := make(map[int]T)
+	next, busy, halted := 0, 0, false
+	receive := func() {
+		d := <-results
+		busy--
+		halted = halted || (p.halt != nil && p.halt(d.v))
+		pending[d.k] = d.v
+		peak = max(peak, len(pending))
+		for v, ok := pending[next]; ok; v, ok = pending[next] {
 			delete(pending, next)
-			apply(q)
+			p.fold(next, v)
 			next++
 		}
 	}
+	for sent < n {
+		for busy == workers || (p.window && sent >= next+workers) {
+			receive()
+		}
+		if halted || ctx.Err() != nil {
+			break
+		}
+		jobs <- sent
+		sent++
+		busy++
+	}
 	close(jobs)
+	for busy > 0 {
+		receive()
+	}
 	wg.Wait()
-	e.peakPending = peak
-
-	// Undispatched specs were canceled: record the error in spec
-	// order so Aggregated.Errors matches the RunContext path.
-	if total < len(specs) {
-		cerr := ctx.Err()
-		for j := total; j < len(specs); j++ {
-			errs[j] = cerr
-			aggs[groupOf[j]].Errors++
-		}
-	}
-
-	for gi := range aggs {
-		aggs[gi].Fields = make([]FieldStat, len(summaryFields))
-		for fi, f := range summaryFields {
-			aggs[gi].Fields[fi] = FieldStat{Name: f.Name, Mean: accs[gi][fi].Mean(), Stddev: accs[gi][fi].Stddev()}
-		}
-	}
-	return aggs, errs
+	return sent, peak
 }
-
-// PeakPending reports how many completed-but-not-yet-reduced
-// summaries the last RunReduce held at once (≤ its worker count) —
-// the retention the reduce mode's memory claim rests on.
-func (e *Engine) PeakPending() int { return e.peakPending }
 
 // FieldStat is one aggregated summary field.
 type FieldStat struct {
@@ -448,44 +353,65 @@ func AggregateTable(title string, aggs []Aggregated) *report.Table {
 	return t
 }
 
+// reducer folds run outcomes into per-scenario+scale groups, in
+// first-seen order, with one Welford accumulator per summary field.
+// Failed runs count in Errors and contribute no samples. Aggregate and
+// the reduce mode share it, so both fold bit-identically.
+type reducer struct {
+	index map[groupKey]int
+	aggs  []Aggregated
+	accs  [][]stats.Welford
+}
+
+type groupKey struct {
+	name  string
+	scale float64
+}
+
+func (r *reducer) add(spec Spec, sum Summary, err error) {
+	k := groupKey{spec.Name, spec.Scale}
+	gi, ok := r.index[k]
+	if !ok {
+		if r.index == nil {
+			r.index = make(map[groupKey]int)
+		}
+		gi = len(r.aggs)
+		r.index[k] = gi
+		r.aggs = append(r.aggs, Aggregated{Scenario: k.name, Scale: k.scale})
+		r.accs = append(r.accs, make([]stats.Welford, len(summaryFields)))
+	}
+	if err != nil {
+		r.aggs[gi].Errors++
+		return
+	}
+	r.aggs[gi].Runs++
+	for fi, f := range summaryFields {
+		r.accs[gi][fi].Add(f.Get(sum))
+	}
+}
+
+// result finalizes every group's field statistics (never nil, so an
+// empty reduction serializes as [] rather than null).
+func (r *reducer) result() []Aggregated {
+	out := make([]Aggregated, len(r.aggs))
+	for gi, agg := range r.aggs {
+		agg.Fields = make([]FieldStat, len(summaryFields))
+		for fi, f := range summaryFields {
+			agg.Fields[fi] = FieldStat{Name: f.Name, Mean: r.accs[gi][fi].Mean(), Stddev: r.accs[gi][fi].Stddev()}
+		}
+		out[gi] = agg
+	}
+	return out
+}
+
 // Aggregate groups run results by scenario+scale (in first-seen
 // order, which for Matrix.Expand output is expansion order) and
 // reduces each summary field with a Welford accumulator. Failed runs
 // count in Errors and contribute no samples.
 func Aggregate(results []RunResult) []Aggregated {
-	type key struct {
-		name  string
-		scale float64
-	}
-	order := make([]key, 0, 4)
-	groups := make(map[key][]RunResult)
+	var red reducer
 	for _, r := range results {
-		k := key{r.Spec.Name, r.Spec.Scale}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], r)
+		red.add(r.Spec, r.Summary, r.Err)
 	}
-	out := make([]Aggregated, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
-		agg := Aggregated{Scenario: k.name, Scale: k.scale}
-		accs := make([]stats.Welford, len(summaryFields))
-		for _, r := range g {
-			if r.Err != nil {
-				agg.Errors++
-				continue
-			}
-			agg.Runs++
-			for i, f := range summaryFields {
-				accs[i].Add(f.Get(r.Summary))
-			}
-		}
-		agg.Fields = make([]FieldStat, len(summaryFields))
-		for i, f := range summaryFields {
-			agg.Fields[i] = FieldStat{Name: f.Name, Mean: accs[i].Mean(), Stddev: accs[i].Stddev()}
-		}
-		out = append(out, agg)
-	}
-	return out
+	return red.result()
 }

@@ -6,37 +6,48 @@ import (
 	"testing"
 )
 
-// fakeScenario is a registry-free Scenario whose run emits nothing and
-// invokes a hook — enough to exercise the engine's dispatch logic
-// without simulator cost.
-type fakeScenario struct {
-	name     string
-	onStream func()
+// fakeHook, when set, is called inside every "fake" run's Stream with
+// the run's seed. The "fake" scenario emits nothing — enough to
+// exercise the executor's dispatch logic without simulator cost.
+var fakeHook func(seed int64)
+
+func init() {
+	Register("fake", func(seed int64, scale float64) Scenario { return fakeScenario{seed} })
 }
 
-func (f fakeScenario) Name() string        { return f.name }
-func (f fakeScenario) Params() []Param     { return nil }
-func (f fakeScenario) Build() (Run, error) { return fakeRun{f.onStream}, nil }
+type fakeScenario struct{ seed int64 }
 
-type fakeRun struct{ onStream func() }
+func (fakeScenario) Name() string          { return "fake" }
+func (fakeScenario) Params() []Param       { return nil }
+func (f fakeScenario) Build() (Run, error) { return fakeRun(f), nil }
+
+type fakeRun struct{ seed int64 }
 
 func (f fakeRun) Stream(sink Sink) error {
-	if f.onStream != nil {
-		f.onStream()
+	if fakeHook != nil {
+		fakeHook(f.seed)
 	}
 	return nil
 }
 
-func fakeSpecs(n int, onFirstStream func()) []Spec {
-	specs := make([]Spec, n)
-	for i := range specs {
-		hook := func() {}
-		if i == 0 {
-			hook = onFirstStream
-		}
-		specs[i] = Spec{Name: "fake", Seed: int64(i + 1), Scale: 1, Scenario: fakeScenario{"fake", hook}}
+// fakeMatrix is n "fake" runs with seeds 1..n.
+func fakeMatrix(n int) Matrix {
+	m := Matrix{Scenarios: []string{"fake"}, Scales: []float64{1}}
+	for s := 1; s <= n; s++ {
+		m.Seeds = append(m.Seeds, int64(s))
 	}
-	return specs
+	return m
+}
+
+// cancelInFirstRun arms fakeHook to cancel from inside the seed-1 run
+// (the first spec) for the rest of the test.
+func cancelInFirstRun(t *testing.T, cancel context.CancelFunc) {
+	fakeHook = func(seed int64) {
+		if seed == 1 {
+			cancel()
+		}
+	}
+	t.Cleanup(func() { fakeHook = nil })
 }
 
 // TestRunContextCancel cancels the context from inside the first run:
@@ -46,9 +57,12 @@ func fakeSpecs(n int, onFirstStream func()) []Spec {
 func TestRunContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	specs := fakeSpecs(6, cancel)
-	eng := &Engine{Workers: 1}
-	results := eng.RunContext(ctx, specs)
+	cancelInFirstRun(t, cancel)
+	ex, err := Runner{}.Execute(ctx, RunSpecOpts{Mode: ModeCollect, Matrix: fakeMatrix(6), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := ex.Results
 
 	if results[0].Err != nil {
 		t.Fatalf("first (in-flight) run failed: %v", results[0].Err)
@@ -61,23 +75,26 @@ func TestRunContextCancel(t *testing.T) {
 			t.Fatalf("spec %d completed after a canceled spec: cancellation must be a suffix", i)
 		}
 	}
-	// The dispatcher may hand out at most one more spec after the
-	// cancel races the worker becoming free; everything beyond that
-	// must be canceled.
-	if canceled < len(specs)-2 {
-		t.Fatalf("only %d specs canceled of %d; cancellation did not stop dispatch", canceled, len(specs))
+	// The executor waits for the one worker to come free before it
+	// checks ctx, so the cancel inside the first run stops every later
+	// spec — deterministically, not most of the time.
+	if canceled != len(results)-1 {
+		t.Fatalf("%d specs canceled of %d, want %d", canceled, len(results), len(results)-1)
 	}
 }
 
-// TestRunReduceContextCancel mirrors TestRunContextCancel on the
+// TestReduceContextCancel mirrors TestRunContextCancel on the
 // reduce-as-you-go path: canceled specs land in the error slice and
 // count in Aggregated.Errors, completed runs still fold.
-func TestRunReduceContextCancel(t *testing.T) {
+func TestReduceContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	specs := fakeSpecs(6, cancel)
-	eng := &Engine{Workers: 1}
-	aggs, errs := eng.RunReduceContext(ctx, specs)
+	cancelInFirstRun(t, cancel)
+	ex, err := Runner{}.Execute(ctx, RunSpecOpts{Mode: ModeReduce, Matrix: fakeMatrix(6), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs, errs := ex.Aggregates, ex.Errs
 
 	if len(aggs) != 1 {
 		t.Fatalf("%d aggregate groups, want 1", len(aggs))
@@ -92,34 +109,40 @@ func TestRunReduceContextCancel(t *testing.T) {
 			t.Fatalf("spec %d completed after a canceled spec", i)
 		}
 	}
-	if canceled < len(specs)-2 {
-		t.Fatalf("only %d specs canceled of %d", canceled, len(specs))
+	if canceled != len(errs)-1 {
+		t.Fatalf("%d specs canceled of %d, want %d", canceled, len(errs), len(errs)-1)
 	}
 	if aggs[0].Errors != canceled {
 		t.Fatalf("Aggregated.Errors = %d, canceled specs = %d", aggs[0].Errors, canceled)
 	}
-	if aggs[0].Runs != len(specs)-canceled {
-		t.Fatalf("Aggregated.Runs = %d, want %d", aggs[0].Runs, len(specs)-canceled)
+	if aggs[0].Runs != len(errs)-canceled {
+		t.Fatalf("Aggregated.Runs = %d, want %d", aggs[0].Runs, len(errs)-canceled)
 	}
 }
 
 // TestRunContextUncanceled pins that the context path is transparent
 // when the context never fires.
 func TestRunContextUncanceled(t *testing.T) {
-	specs := fakeSpecs(4, func() {})
-	eng := &Engine{Workers: 2}
-	for _, r := range eng.RunContext(context.Background(), specs) {
+	m := fakeMatrix(4)
+	ex, err := Runner{}.Execute(context.Background(), RunSpecOpts{Mode: ModeCollect, Matrix: m, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ex.Results {
 		if r.Err != nil {
 			t.Fatalf("run failed: %v", r.Err)
 		}
 	}
-	aggs, errs := eng.RunReduceContext(context.Background(), specs)
-	for _, err := range errs {
+	ex, err = Runner{}.Execute(context.Background(), RunSpecOpts{Mode: ModeReduce, Matrix: m, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range ex.Errs {
 		if err != nil {
 			t.Fatalf("reduce run failed: %v", err)
 		}
 	}
-	if aggs[0].Runs != 4 || aggs[0].Errors != 0 {
+	if aggs := ex.Aggregates; aggs[0].Runs != 4 || aggs[0].Errors != 0 {
 		t.Fatalf("aggregate runs=%d errors=%d, want 4/0", aggs[0].Runs, aggs[0].Errors)
 	}
 }

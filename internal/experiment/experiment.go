@@ -19,10 +19,10 @@
 //     memory independent of trace length. The streamed Result is
 //     bit-identical to analyzing the materialized, merged trace.
 //
-//   - A worker-pool Engine (bounded by GOMAXPROCS) that executes an
-//     expanded matrix, collects per-run analysis Results, and
-//     aggregates summary metrics into deterministic mean/stddev rows
-//     keyed by scenario+scale.
+//   - Runner.Execute, which runs an expanded matrix on one worker pool
+//     (bounded by GOMAXPROCS) in collect, reduce, or journaled
+//     campaign mode and aggregates summary metrics into deterministic
+//     mean/stddev rows keyed by scenario+scale.
 package experiment
 
 import (

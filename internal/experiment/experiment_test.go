@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,19 +14,30 @@ import (
 
 // streamResult runs the named registry scenario through the full
 // streaming bridge (emit → Reorder → sequential Analyzer), the exact
-// path Engine.runOne takes.
+// path every collect-mode run takes.
 func streamResult(t *testing.T, name string, seed int64, scale float64) *analysis.Result {
 	t.Helper()
-	sc, err := New(name, seed, scale)
+	ex, err := Runner{}.Execute(context.Background(), RunSpecOpts{
+		Matrix: Matrix{Scenarios: []string{name}, Seeds: []int64{seed}, Scales: []float64{scale}}, Workers: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Workers: 1}
-	res := e.Run([]Spec{{Name: name, Seed: seed, Scale: scale, Scenario: sc}})
-	if res[0].Err != nil {
-		t.Fatal(res[0].Err)
+	if err := ex.Results[0].Err; err != nil {
+		t.Fatal(err)
 	}
-	return res[0].Result
+	return ex.Results[0].Result
+}
+
+// collect runs m in collect mode on the given worker count and fails
+// the test on any error.
+func collect(t *testing.T, m Matrix, workers int) []RunResult {
+	t.Helper()
+	ex, err := Runner{}.Execute(context.Background(), RunSpecOpts{Matrix: m, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex.Results
 }
 
 // TestStreamingMatchesMaterialized is the engine's acceptance gate:
@@ -81,20 +93,11 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 		Seeds:     []int64{7, 8},
 		Scales:    []float64{0.1, 0.15},
 	}
-	specsA, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
+	serial := collect(t, m, 1)
+	parallel := collect(t, m, 4)
+	if len(serial) < 4 {
+		t.Fatalf("matrix expanded to %d cells", len(serial))
 	}
-	specsB, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specsA) < 4 {
-		t.Fatalf("matrix expanded to %d cells", len(specsA))
-	}
-
-	serial := (&Engine{Workers: 1}).Run(specsA)
-	parallel := (&Engine{Workers: 4}).Run(specsB)
 
 	for i := range serial {
 		if serial[i].Err != nil || parallel[i].Err != nil {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -97,11 +98,7 @@ func TestGridMatrixDeterminism(t *testing.T) {
 	var ref []RunResult
 	var refHashes []string
 	for _, workers := range []int{1, 2, 8, 1} { // trailing 1: same config twice
-		specs, err := m.Expand()
-		if err != nil {
-			t.Fatal(err)
-		}
-		results := (&Engine{Workers: workers}).Run(specs)
+		results := collect(t, m, workers)
 		hashes := make([]string, len(results))
 		for i, r := range results {
 			if r.Err != nil {
@@ -131,9 +128,9 @@ func TestGridMatrixDeterminism(t *testing.T) {
 }
 
 // TestRunReduceMatchesRun checks the reduce-as-you-go mode against the
-// materializing engine: bit-identical aggregates regardless of worker
-// count, and peak retention bounded by the worker count — O(cells),
-// not O(runs) — which is the footprint fix the mode exists for.
+// collect mode: bit-identical aggregates regardless of worker count,
+// and peak retention bounded by the worker count — O(cells), not
+// O(runs) — which is the footprint fix the mode exists for.
 func TestRunReduceMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -143,29 +140,23 @@ func TestRunReduceMatchesRun(t *testing.T) {
 		Seeds:     []int64{1, 2, 3, 4, 5, 6},
 		Scales:    []float64{0.1},
 	}
-	specsA, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	specsB, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Aggregate((&Engine{Workers: 2}).Run(specsA))
+	want := Aggregate(collect(t, m, 2))
 
-	eng := &Engine{Workers: 3}
-	got, errs := eng.RunReduce(specsB)
-	for i, e := range errs {
+	ex, peak, err := execute(context.Background(), RunSpecOpts{Mode: ModeReduce, Matrix: m, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range ex.Errs {
 		if e != nil {
 			t.Fatalf("reduce run %d: %v", i, e)
 		}
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got := ex.Aggregates; !reflect.DeepEqual(got, want) {
 		t.Errorf("reduced aggregates differ from materialized:\n got %+v\nwant %+v", got, want)
 	}
-	if peak := eng.PeakPending(); peak > 3 {
+	if peak > 3 {
 		t.Errorf("reduce mode retained %d pending summaries; want ≤ workers (3), independent of the %d runs",
-			peak, len(specsB))
+			peak, len(ex.Specs))
 	}
 }
 
@@ -176,15 +167,20 @@ func (errScenario) Name() string        { return "err" }
 func (errScenario) Params() []Param     { return nil }
 func (errScenario) Build() (Run, error) { return nil, errors.New("boom") }
 
+func init() {
+	Register("err", func(int64, float64) Scenario { return errScenario{} })
+}
+
 // TestRunReduceCountsErrors checks failed cells land in the error
 // slice and the group's Errors count without contributing samples.
 func TestRunReduceCountsErrors(t *testing.T) {
-	specs := []Spec{
-		{Name: "err", Scale: 1, Scenario: errScenario{}},
-		{Name: "err", Scale: 1, Scenario: errScenario{}},
+	ex, err := Runner{}.Execute(context.Background(), RunSpecOpts{
+		Mode: ModeReduce, Matrix: Matrix{Scenarios: []string{"err"}, Seeds: []int64{1, 2}}, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	eng := &Engine{Workers: 2}
-	aggs, errs := eng.RunReduce(specs)
+	aggs, errs := ex.Aggregates, ex.Errs
 	if errs[0] == nil || errs[1] == nil {
 		t.Fatalf("errors not reported: %v", errs)
 	}
@@ -210,15 +206,11 @@ func TestGridMatrixGoldenResults(t *testing.T) {
 		"22c57cf9990e98595a62cc47664b843bfedd587cbe456f1bce5e2ed673f73d34",
 		"04c1699981ab7a928031359c80da8bec9899fa9f89dc426e43b84a4af2165b79",
 	}
-	specs, err := (Matrix{
+	results := collect(t, Matrix{
 		Scenarios: []string{"grid", "grid9"},
 		Seeds:     []int64{1, 2},
 		Scales:    []float64{0.25},
-	}).Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := (&Engine{Workers: 2}).Run(specs)
+	}, 2)
 	if len(results) != len(want) {
 		t.Fatalf("matrix produced %d results, want %d", len(results), len(want))
 	}

@@ -22,7 +22,7 @@ func TestPartitionFoldByteIdentical(t *testing.T) {
 	ctx := context.Background()
 
 	refDir := t.TempDir()
-	ref, err := RunCampaign(ctx, refDir, m, CampaignOptions{Workers: 2})
+	ref, err := campaign(ctx, refDir, RunSpecOpts{Matrix: m, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPartitionFoldByteIdentical(t *testing.T) {
 		var recs []RunRecord
 		for i, r := range ranges {
 			dir := filepath.Join(t.TempDir(), "shard")
-			if _, err := RunCampaign(ctx, dir, m, CampaignOptions{Workers: 2, Range: &r}); err != nil {
+			if _, err := campaign(ctx, dir, RunSpecOpts{Matrix: m, Workers: 2, Range: &r}); err != nil {
 				t.Fatalf("trial %d range %d %+v: %v", trial, i, r, err)
 			}
 			shard, err := ReadJournal(JournalPath(dir))

@@ -5,31 +5,25 @@ import (
 	"fmt"
 
 	"wlan80211/internal/experiment/faultinject"
-	"wlan80211/internal/phy"
 )
 
-// This file is the unified entry point for running experiments. The
-// engine grew four parallel entry points over time — Engine.Run,
-// Engine.RunReduce, RunCampaign, ResumeCampaign — each with its own
-// parameter list, which made "what to run" impossible to describe in
-// one serializable value (the thing a remote-worker protocol needs).
-// Runner.Execute(RunSpecOpts) replaces them: one options struct that
-// JSON-round-trips (minus in-process escape hatches), one result
-// shape, with the old signatures kept as thin deprecated compat
-// wrappers over it.
+// This file is the single entry point for running experiments:
+// Runner.Execute(RunSpecOpts) takes one options struct that
+// JSON-round-trips (the thing a remote-worker protocol needs) and
+// returns one result shape for every mode. All three modes execute on
+// the same worker pool (pool.execute) and the same run cell (runCell).
 
 // RunMode selects Runner.Execute's execution strategy.
 type RunMode string
 
 const (
-	// ModeCollect runs every spec and retains per-run results
-	// (Engine.Run's behavior).
+	// ModeCollect runs every spec and retains per-run results.
 	ModeCollect RunMode = "collect"
 	// ModeReduce folds summaries as runs complete, retaining only
-	// aggregates — O(groups+workers) memory (Engine.RunReduce).
+	// aggregates — O(groups+workers) memory.
 	ModeReduce RunMode = "reduce"
 	// ModeCampaign runs as a crash-resumable journaled campaign in
-	// CampaignDir (RunCampaign/ResumeCampaign).
+	// CampaignDir.
 	ModeCampaign RunMode = "campaign"
 )
 
@@ -63,7 +57,7 @@ func (r *SpecRange) validate(n int) error {
 // run": the matrix, the execution mode, and the mode's knobs. The
 // dispatch coordinator hands one of these (matrix + campaign knobs +
 // a spec range) to each worker; in-process callers use the same
-// struct, optionally with the non-serializable escape hatches.
+// struct (tests may also arm its non-serializable Injector).
 type RunSpecOpts struct {
 	// Matrix is the seeds × scales × scenarios grid to expand.
 	Matrix Matrix `json:"matrix"`
@@ -87,11 +81,6 @@ type RunSpecOpts struct {
 	// CheckpointMicros, and Range are taken from it.
 	Resume bool `json:"resume,omitempty"`
 
-	// Specs overrides Matrix expansion with pre-built specs — an
-	// in-process escape hatch for callers that already expanded (the
-	// legacy Engine.Run/RunReduce signatures). Not serializable, not
-	// valid with ModeCampaign.
-	Specs []Spec `json:"-"`
 	// Injector arms a deterministic crash point (ModeCampaign tests).
 	Injector *faultinject.Injector `json:"-"`
 }
@@ -117,84 +106,107 @@ type Execution struct {
 }
 
 // Runner executes experiment matrices. The zero value is ready to
-// use; Engine pins a specific engine (its Workers/Metrics override
-// the opts', and RunReduce bookkeeping like PeakPending lands on it).
-type Runner struct {
-	// Engine, when non-nil, is the engine to execute on. Nil means a
-	// fresh engine configured from the opts.
-	Engine *Engine
-}
+// use.
+type Runner struct{}
 
 // Execute runs one experiment described by opts and returns its
-// Execution. On cooperative cancellation the completed runs are still
-// aggregated and returned alongside the context error, exactly like
-// the legacy entry points. This is the single entry point the legacy
-// Engine.Run / Engine.RunReduce / RunCampaign / ResumeCampaign
-// signatures wrap.
-func (r *Runner) Execute(ctx context.Context, opts RunSpecOpts) (*Execution, error) {
+// Execution. On cooperative cancellation no further runs are
+// dispatched and in-flight runs complete. Collect and reduce then mark
+// every undispatched spec with ctx.Err() and return no error; a
+// campaign returns its completed runs, aggregated, alongside ctx.Err().
+func (Runner) Execute(ctx context.Context, opts RunSpecOpts) (*Execution, error) {
+	ex, _, err := execute(ctx, opts)
+	return ex, err
+}
+
+// execute is Execute that also reports the pool's peak count of
+// finished-but-unfolded outcomes — reduce mode's retention, which the
+// package's tests and benchmarks pin at ≤ Workers.
+func execute(ctx context.Context, opts RunSpecOpts) (*Execution, int, error) {
 	mode := opts.Mode
-	if mode == "" {
+	switch mode {
+	case "":
 		mode = ModeCollect
-	}
-	if mode == ModeCampaign {
-		return r.executeCampaign(ctx, opts)
+	case ModeCollect, ModeReduce:
+	case ModeCampaign:
+		ex, err := executeCampaign(ctx, opts)
+		return ex, 0, err
+	default:
+		return nil, 0, fmt.Errorf("experiment: unknown run mode %q", mode)
 	}
 
-	specs := opts.Specs
-	if specs == nil {
-		var err error
-		if specs, err = opts.Matrix.Expand(); err != nil {
-			return nil, err
-		}
+	specs, err := opts.Matrix.Expand()
+	if err != nil {
+		return nil, 0, err
 	}
 	if err := opts.Range.validate(len(specs)); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if opts.Range != nil {
 		specs = specs[opts.Range.From:opts.Range.To]
 	}
-	eng := r.Engine
-	if eng == nil {
-		eng = &Engine{Workers: opts.Workers, Metrics: opts.Metrics}
-	}
 
-	switch mode {
-	case ModeCollect:
-		results := eng.RunContext(ctx, specs)
-		return &Execution{Specs: specs, Results: results, Aggregates: Aggregate(results)}, nil
-	case ModeReduce:
-		aggs, errs := eng.RunReduceContext(ctx, specs)
-		return &Execution{Specs: specs, Errs: errs, Aggregates: aggs}, nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown run mode %q", mode)
+	// Both modes fold every outcome in spec order. Collect keeps each
+	// RunResult; reduce drops the full Result on the worker and folds
+	// the Summary straight into the group accumulators, so its window
+	// holds at most Workers small summaries — O(groups + workers)
+	// retention, not O(runs), which is what lets very large matrices
+	// run in flat memory. Aggregates are bit-identical either way.
+	ex := &Execution{Specs: specs}
+	if mode == ModeCollect {
+		ex.Results = make([]RunResult, len(specs))
+	} else {
+		ex.Errs = make([]error, len(specs))
 	}
+	var red reducer
+	p := pool[RunResult]{
+		workers: opts.Workers,
+		window:  mode == ModeReduce,
+		run: func(k int) RunResult {
+			res, _, err := runCell(specs[k], opts.Metrics, nil)
+			if err != nil {
+				return RunResult{Spec: specs[k], Err: err}
+			}
+			r := RunResult{Spec: specs[k], Summary: Summarize(res)}
+			if mode == ModeCollect {
+				r.Result = res // reduce keeps only the Summary
+			}
+			return r
+		},
+		fold: func(k int, r RunResult) {
+			red.add(r.Spec, r.Summary, r.Err)
+			if mode == ModeCollect {
+				ex.Results[k] = r
+			} else {
+				ex.Errs[k] = r.Err
+			}
+		},
+	}
+	sent, peak := p.execute(ctx, len(specs))
+	// Undispatched specs were canceled: they carry ctx.Err() in spec
+	// order and count in their group's Errors.
+	for k := sent; k < len(specs); k++ {
+		p.fold(k, RunResult{Spec: specs[k], Err: ctx.Err()})
+	}
+	ex.Aggregates = red.result()
+	return ex, peak, nil
 }
 
 // executeCampaign is Execute's ModeCampaign arm: create-or-continue
 // (Resume=false, Matrix authoritative and checked against any existing
 // manifest) or resume (Resume=true, manifest authoritative).
-func (r *Runner) executeCampaign(ctx context.Context, opts RunSpecOpts) (*Execution, error) {
+func executeCampaign(ctx context.Context, opts RunSpecOpts) (*Execution, error) {
 	if opts.CampaignDir == "" {
 		return nil, fmt.Errorf("experiment: ModeCampaign requires CampaignDir")
-	}
-	if opts.Specs != nil {
-		return nil, fmt.Errorf("experiment: ModeCampaign runs from a Matrix, not pre-built Specs (the journal must re-expand them on resume)")
-	}
-	copts := CampaignOptions{
-		Workers:    opts.Workers,
-		Metrics:    opts.Metrics,
-		Checkpoint: phy.Micros(opts.CheckpointMicros),
-		Injector:   opts.Injector,
-		Range:      opts.Range,
 	}
 	var (
 		res *CampaignResult
 		err error
 	)
 	if opts.Resume {
-		res, err = resumeCampaignDir(ctx, opts.CampaignDir, copts)
+		res, err = resumeCampaignDir(ctx, opts)
 	} else {
-		res, err = startCampaignDir(ctx, opts.CampaignDir, opts.Matrix, copts)
+		res, err = startCampaignDir(ctx, opts)
 	}
 	if res == nil {
 		return nil, err

@@ -6,64 +6,33 @@ import (
 	"testing"
 )
 
-// TestRunnerCollectMatchesRun pins the compat contract: the legacy
-// Engine.Run signature and Runner.Execute(ModeCollect) produce
-// bit-identical summaries and aggregates for the same matrix.
-func TestRunnerCollectMatchesRun(t *testing.T) {
+// TestRunnerModesAgree pins one matrix to identical aggregates in all
+// three modes: collect, reduce-as-you-go, and a journaled campaign.
+func TestRunnerModesAgree(t *testing.T) {
 	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1, 2}, Scales: []float64{0.1}}
-	specs, err := m.Expand()
+	ctx := context.Background()
+	col, err := Runner{}.Execute(ctx, RunSpecOpts{Mode: ModeCollect, Matrix: m, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := (&Engine{Workers: 2}).Run(specs)
-
-	ex, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Mode: ModeCollect, Matrix: m, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ex.Results) != len(legacy) {
-		t.Fatalf("Execute returned %d results, Run %d", len(ex.Results), len(legacy))
-	}
-	for i := range legacy {
-		if legacy[i].Summary != ex.Results[i].Summary {
-			t.Fatalf("run %d: summary %+v != %+v", i, ex.Results[i].Summary, legacy[i].Summary)
+	for i, r := range col.Results {
+		if r.Err != nil {
+			t.Fatalf("run %d: %v", i, r.Err)
 		}
 	}
-	if !reflect.DeepEqual(ex.Aggregates, Aggregate(legacy)) {
-		t.Fatal("Execute aggregates differ from Aggregate(Run(specs))")
-	}
-}
-
-// TestRunnerReduceMatchesRunReduce: the reduce path through Execute
-// folds to the same aggregates as the legacy signature and as the
-// collect path.
-func TestRunnerReduceMatchesRunReduce(t *testing.T) {
-	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1, 2}, Scales: []float64{0.1}}
-	specs, err := m.Expand()
+	red, err := Runner{}.Execute(ctx, RunSpecOpts{Mode: ModeReduce, Matrix: m, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyAggs, legacyErrs := (&Engine{Workers: 2}).RunReduce(specs)
-	for i, err := range legacyErrs {
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-	}
-
-	ex, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Mode: ModeReduce, Matrix: m, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ex.Aggregates, legacyAggs) {
-		t.Fatal("Execute(ModeReduce) aggregates differ from RunReduce(specs)")
-	}
-
-	col, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Mode: ModeCollect, Matrix: m, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ex.Aggregates, col.Aggregates) {
+	if !reflect.DeepEqual(red.Aggregates, col.Aggregates) {
 		t.Fatal("reduce and collect aggregates diverge")
+	}
+	camp, err := Runner{}.Execute(ctx, RunSpecOpts{Mode: ModeCampaign, Matrix: m, Workers: 2, CampaignDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(camp.Aggregates, col.Aggregates) {
+		t.Fatal("campaign and collect aggregates diverge")
 	}
 }
 
@@ -71,11 +40,11 @@ func TestRunnerReduceMatchesRunReduce(t *testing.T) {
 // sub-slice of the expanded matrix, with the same per-run summaries.
 func TestRunnerRange(t *testing.T) {
 	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1, 2, 3}, Scales: []float64{0.1}}
-	full, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Mode: ModeCollect, Matrix: m, Workers: 2})
+	full, err := Runner{}.Execute(context.Background(), RunSpecOpts{Mode: ModeCollect, Matrix: m, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{
+	part, err := Runner{}.Execute(context.Background(), RunSpecOpts{
 		Mode: ModeCollect, Matrix: m, Workers: 2, Range: &SpecRange{From: 1, To: 3},
 	})
 	if err != nil {
@@ -91,7 +60,7 @@ func TestRunnerRange(t *testing.T) {
 	}
 
 	for _, bad := range []SpecRange{{From: -1, To: 1}, {From: 0, To: 4}, {From: 2, To: 2}} {
-		if _, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Matrix: m, Range: &bad}); err == nil {
+		if _, err := (Runner{}).Execute(context.Background(), RunSpecOpts{Matrix: m, Range: &bad}); err == nil {
 			t.Errorf("range %+v accepted for 3 specs", bad)
 		}
 	}
@@ -101,14 +70,10 @@ func TestRunnerRange(t *testing.T) {
 func TestRunnerRejections(t *testing.T) {
 	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1}, Scales: []float64{0.1}}
 	ctx := context.Background()
-	if _, err := (&Runner{}).Execute(ctx, RunSpecOpts{Mode: "bogus", Matrix: m}); err == nil {
+	if _, err := (Runner{}).Execute(ctx, RunSpecOpts{Mode: "bogus", Matrix: m}); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if _, err := (&Runner{}).Execute(ctx, RunSpecOpts{Mode: ModeCampaign, Matrix: m}); err == nil {
+	if _, err := (Runner{}).Execute(ctx, RunSpecOpts{Mode: ModeCampaign, Matrix: m}); err == nil {
 		t.Error("ModeCampaign without CampaignDir accepted")
-	}
-	specs, _ := m.Expand()
-	if _, err := (&Runner{}).Execute(ctx, RunSpecOpts{Mode: ModeCampaign, CampaignDir: t.TempDir(), Specs: specs}); err == nil {
-		t.Error("ModeCampaign with pre-built Specs accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"wlan80211/internal/analysis"
 	"wlan80211/internal/capture"
-	"wlan80211/internal/core"
 	"wlan80211/internal/phy"
 	"wlan80211/internal/workload"
 )
@@ -31,7 +30,7 @@ func TestEndToEndPcapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := b.Run()
-	direct := core.Analyze(recs)
+	direct := analysis.Analyze(recs)
 
 	var buf bytes.Buffer
 	w, err := capture.NewWriter(&buf, 250)
@@ -51,7 +50,7 @@ func TestEndToEndPcapRoundTrip(t *testing.T) {
 	if skipped != 0 {
 		t.Fatalf("skipped %d records", skipped)
 	}
-	viaDisk := core.Analyze(loaded)
+	viaDisk := analysis.Analyze(loaded)
 
 	if direct.TotalFrames != viaDisk.TotalFrames {
 		t.Errorf("frame counts differ: %d vs %d", direct.TotalFrames, viaDisk.TotalFrames)
@@ -80,7 +79,7 @@ func TestStreamingEquivalenceOnFixtures(t *testing.T) {
 		trace []capture.Record
 	}{{"day", day()}, {"sweep", sweep()}} {
 		t.Run(tc.name, func(t *testing.T) {
-			batch := core.Analyze(tc.trace)
+			batch := analysis.Analyze(tc.trace)
 
 			a, err := analysis.New(analysis.Options{})
 			if err != nil {
@@ -107,12 +106,12 @@ func TestStreamingEquivalenceOnFixtures(t *testing.T) {
 }
 
 // sweepResult is shared by the shape tests below (one ladder run).
-func sweepResult(t *testing.T) *core.Result {
+func sweepResult(t *testing.T) *analysis.Result {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	return core.Analyze(sweep()) // bench_test.go's cached ladder trace
+	return analysis.Analyze(sweep()) // bench_test.go's cached ladder trace
 }
 
 // TestShape_ThroughputRisesThenPeaks asserts Figure 6's shape: mean
@@ -168,8 +167,8 @@ func TestShape_MiddleRatesScarce(t *testing.T) {
 	r := sweepResult(t)
 	var per [4]float64
 	for ri, rt := range phy.Rates {
-		for s := core.SizeS; s <= core.SizeXL; s++ {
-			ci, _ := core.Category{Size: s, Rate: rt}.Index()
+		for s := analysis.SizeS; s <= analysis.SizeXL; s++ {
+			ci, _ := analysis.Category{Size: s, Rate: rt}.Index()
 			per[ri] += r.TxPerCategory[ci].MeanOver(30, 99)
 		}
 	}
@@ -186,12 +185,12 @@ func TestShape_MiddleRatesScarce(t *testing.T) {
 // 11 Mbps frame.
 func TestShape_AcceptanceDelayOrdering(t *testing.T) {
 	r := sweepResult(t)
-	at := func(size core.SizeClass, rt phy.Rate) float64 {
-		ci, _ := core.Category{Size: size, Rate: rt}.Index()
+	at := func(size analysis.SizeClass, rt phy.Rate) float64 {
+		ci, _ := analysis.Category{Size: size, Rate: rt}.Index()
 		return r.AcceptDelay[ci].MeanOver(70, 99)
 	}
-	s1, s11 := at(core.SizeS, phy.Rate1Mbps), at(core.SizeS, phy.Rate11Mbps)
-	xl11 := at(core.SizeXL, phy.Rate11Mbps)
+	s1, s11 := at(analysis.SizeS, phy.Rate1Mbps), at(analysis.SizeS, phy.Rate11Mbps)
+	xl11 := at(analysis.SizeXL, phy.Rate11Mbps)
 	if s1 <= s11 {
 		t.Errorf("S-1 delay (%.4fs) must exceed S-11 (%.4fs)", s1, s11)
 	}
@@ -228,8 +227,8 @@ func TestShape_SessionsMatchTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	dayMode, _ := core.Analyze(day()).UtilHist.Mode()
-	plenMode, _ := core.Analyze(plenary()).UtilHist.Mode()
+	dayMode, _ := analysis.Analyze(day()).UtilHist.Mode()
+	plenMode, _ := analysis.Analyze(plenary()).UtilHist.Mode()
 	if plenMode <= dayMode {
 		t.Errorf("plenary mode (%d%%) must exceed day mode (%d%%)", plenMode, dayMode)
 	}
@@ -257,7 +256,7 @@ func TestShape_UnrecordedEstimatorUnderestimates(t *testing.T) {
 		t.Skip("no capture loss in this run; nothing to validate")
 	}
 	truth := 100 * float64(seen-captured) / float64(seen)
-	est := core.Analyze(recs).Unrecorded.Percent()
+	est := analysis.Analyze(recs).Unrecorded.Percent()
 	if est < 0 {
 		t.Fatalf("estimate negative: %v", est)
 	}
