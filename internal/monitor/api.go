@@ -1,16 +1,12 @@
 package monitor
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-
-	"wlan80211/internal/capture"
-	"wlan80211/internal/phy"
 )
 
 // NewServer builds the daemon's HTTP handler over a manager. The
@@ -120,14 +116,13 @@ func NewServer(mgr *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"status": status, "history": history})
 	}))
 	reg("POST", "/sessions/{id}/ingest", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
-		// Cap the request body: an oversized (or unbounded) push must
-		// fail with 413 before it can balloon the daemon's memory, not
-		// be read to completion first.
+		// Cap the request body: an oversized (or unbounded) push fails
+		// with 413 once it passes MaxIngestBytes, before it can balloon
+		// the daemon's memory.
 		r.Body = http.MaxBytesReader(w, r.Body, MaxIngestBytes)
-		var body struct {
-			Records []ingestRecord `json:"records"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		d := getDecoder()
+		defer putDecoder(d)
+		if err := d.readBody(r.Body, r.ContentLength); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
@@ -136,30 +131,13 @@ func NewServer(mgr *Manager) http.Handler {
 				})
 				return
 			}
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding records: %w", err))
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("reading records: %w", err))
 			return
 		}
-		recs := make([]capture.Record, 0, len(body.Records))
-		for i, ir := range body.Records {
-			rec, err := ir.toRecord()
-			if err != nil {
-				// Field-level failures carry a structured locator so a
-				// pusher can find the offending record without parsing
-				// prose out of the error string.
-				var fe *fieldError
-				if errors.As(err, &fe) {
-					writeJSON(w, http.StatusBadRequest, map[string]any{
-						"error":  fmt.Sprintf("record %d: %v", i, err),
-						"record": i,
-						"field":  fe.Field,
-						"value":  fe.Value,
-					})
-					return
-				}
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("record %d: %w", i, err))
-				return
-			}
-			recs = append(recs, rec)
+		recs, err := d.decode()
+		if err != nil {
+			writeIngestErr(w, err)
+			return
 		}
 		accepted, dropped, rejected, err := s.Ingest(recs)
 		if err != nil {
@@ -197,67 +175,21 @@ func withSession(mgr *Manager, h func(http.ResponseWriter, *http.Request, *Sessi
 	}
 }
 
-// ingestRecord is the wire form of one pushed frame.
-type ingestRecord struct {
-	// TimeUS is the capture timestamp in microseconds of trace time.
-	TimeUS int64 `json:"time_us"`
-	// Rate is in units of 100 kb/s (radiotap convention: 10 = 1 Mb/s,
-	// 110 = 11 Mb/s).
-	Rate uint16 `json:"rate"`
-	// Channel is the 2.4 GHz channel number.
-	Channel int `json:"channel"`
-	// SignalDBm/NoiseDBm are optional radio metadata.
-	SignalDBm int8 `json:"signal_dbm,omitempty"`
-	NoiseDBm  int8 `json:"noise_dbm,omitempty"`
-	// OrigLen is the on-air frame length; defaults to the decoded
-	// frame length when omitted.
-	OrigLen int `json:"orig_len,omitempty"`
-	// FrameHex is the MAC frame, hex encoded.
-	FrameHex string `json:"frame_hex"`
-}
-
-// MaxIngestBytes caps an ingest request body. At ~2x hex expansion it
-// admits on the order of a million typical frames per push — far past
-// any sane batch — while bounding what a misbehaving pusher can make
-// the daemon buffer.
-const MaxIngestBytes = 16 << 20
-
-// fieldError locates a per-record validation failure for the
-// structured ingest error response.
-type fieldError struct {
-	Field string
-	Value string
-	Err   error
-}
-
-func (e *fieldError) Error() string { return fmt.Sprintf("%s: %v", e.Field, e.Err) }
-func (e *fieldError) Unwrap() error { return e.Err }
-
-func (ir ingestRecord) toRecord() (capture.Record, error) {
-	frame, err := hex.DecodeString(ir.FrameHex)
-	if err != nil {
-		return capture.Record{}, &fieldError{Field: "frame_hex", Value: truncate(ir.FrameHex, 64), Err: err}
+// writeIngestErr answers a failed body decode with a 400. Field-level
+// failures carry a structured locator so a pusher can find the
+// offending record without parsing prose out of the error string.
+func writeIngestErr(w http.ResponseWriter, err error) {
+	var fe *fieldError
+	if errors.As(err, &fe) {
+		writeJSON(w, http.StatusBadRequest, map[string]any{
+			"error":  fe.Error(),
+			"record": fe.Record,
+			"field":  fe.Field,
+			"value":  fe.Value,
+		})
+		return
 	}
-	orig := ir.OrigLen
-	if orig == 0 {
-		orig = len(frame)
-	}
-	return capture.Record{
-		Time:      phy.Micros(ir.TimeUS),
-		Rate:      phy.Rate(ir.Rate),
-		Channel:   phy.Channel(ir.Channel),
-		SignalDBm: ir.SignalDBm,
-		NoiseDBm:  ir.NoiseDBm,
-		OrigLen:   orig,
-		Frame:     frame,
-	}, nil
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "…"
+	writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding records: %w", err))
 }
 
 func statusFor(err error) int {

@@ -429,3 +429,58 @@ func TestIngestMalformedHexStructuredError(t *testing.T) {
 		t.Fatalf("error message %q lacks locator prose", resp.Error)
 	}
 }
+
+// postRaw posts body verbatim, for bodies json.Marshal cannot produce.
+func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, buf.Bytes()
+}
+
+// TestIngestDecodeErrorPrecedence pins the ingest edge contract: a
+// syntax error anywhere outranks a bad frame_hex in an earlier record,
+// a null record is a zero record that the session rejects, and the
+// size cap holds even when the body's JSON value ends early.
+func TestIngestDecodeErrorPrecedence(t *testing.T) {
+	mgr := NewManager(context.Background(), 2)
+	defer mgr.Close()
+	srv := httptest.NewServer(NewServer(mgr))
+	defer srv.Close()
+	id := pushSession(t, srv)
+	url := srv.URL + "/api/v1/sessions/" + id + "/ingest"
+
+	good := `{"time_us":1000,"rate":10,"channel":1,"frame_hex":"` + hex.EncodeToString(beaconRec(1000, 1).Frame) + `"}`
+	code, body := postRaw(t, url, []byte(`{"records":[`+good+`,{"frame_hex":"zz-not-hex"},{"rate":}]}`))
+	if code != http.StatusBadRequest {
+		t.Fatalf("hex error then syntax error: %d, want 400\n%s", code, body)
+	}
+	wantKeys(t, body, "error")
+
+	code, body = postRaw(t, url, []byte(`{"records":[null]}`))
+	if code != http.StatusOK {
+		t.Fatalf("null record: %d, want 200\n%s", code, body)
+	}
+	var ing struct{ Accepted, Dropped, Rejected int }
+	if err := json.Unmarshal(body, &ing); err != nil {
+		t.Fatal(err)
+	}
+	if ing.Accepted != 0 || ing.Dropped != 0 || ing.Rejected != 1 {
+		t.Fatalf("null record counts %+v, want 1 rejected", ing)
+	}
+
+	// The first value ends after 14 bytes; the padding still counts.
+	early := append([]byte(`{"records":[]}`), bytes.Repeat([]byte(" "), MaxIngestBytes)...)
+	code, body = postRaw(t, url, early)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body with an early value: %d, want 413\n%.200s", code, body)
+	}
+	wantKeys(t, body, "error", "limit_bytes")
+}
