@@ -7,7 +7,7 @@ import (
 )
 
 // TestCancelHeavyNoRetention schedules and cancels far more events
-// than ever fire and asserts the heap sheds them eagerly: cancelled
+// than ever fire and asserts the buckets shed them eagerly: cancelled
 // events must not linger until popped, and the slab must stay bounded
 // by the peak pending population, not the total scheduled count.
 func TestCancelHeavyNoRetention(t *testing.T) {
@@ -24,9 +24,9 @@ func TestCancelHeavyNoRetention(t *testing.T) {
 	if got := q.Len(); got != rounds {
 		t.Fatalf("Len = %d, want %d live events", got, rounds)
 	}
-	if got := len(q.heap); got != rounds {
-		t.Fatalf("heap holds %d entries, want %d: cancelled events retained", got, rounds)
-	}
+	// The bucket lists must hold exactly the Len live entries: no
+	// cancelled event retained.
+	checkBuckets(t, &q)
 	// Slab high-water mark: one kept + at most one in-flight cancelled
 	// slot per round would be 2 live slots at any instant; the slab
 	// must reuse freed slots instead of growing per scheduling.
@@ -41,7 +41,7 @@ func TestCancelHeavyNoRetention(t *testing.T) {
 
 // TestSameInstantFIFOUnderChurn interleaves same-instant scheduling
 // with cancellations so fired events must still come out in schedule
-// order despite slot reuse and heap holes.
+// order despite slot reuse and unlinks from the middle of a bucket.
 func TestSameInstantFIFOUnderChurn(t *testing.T) {
 	var q Queue
 	var got []int
@@ -100,8 +100,8 @@ func TestZeroEventInert(t *testing.T) {
 	}
 }
 
-// TestRemoveMiddleKeepsHeapOrder cancels events from the middle of a
-// large heap and verifies global ordering afterwards.
+// TestRemoveMiddleKeepsHeapOrder cancels events from the middle of
+// large buckets and verifies global ordering afterwards.
 func TestRemoveMiddleKeepsHeapOrder(t *testing.T) {
 	var q Queue
 	var events []Event

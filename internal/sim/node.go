@@ -117,18 +117,12 @@ type Node struct {
 	// are never reused) — pure scratch, not simulation state.
 	deafSeq uint64
 
-	// Lazy countdown state. The DIFS+backoff wait is bookkept with
-	// O(1) stamps: a busy medium freezes it (paused; slots bank at the
-	// freeze), NAV extensions restart it behind the NAV via an eventq
-	// deferral, and the single scheduled event re-keys itself in place
-	// when it surfaces — heap traffic scales with waits that mature,
-	// not with busy/idle transitions overheard. The countdown is
-	// logically armed iff the handle is pending and not paused; a
-	// paused handle is a logically-cancelled entry that drains (or is
-	// re-deferred) lazily.
+	// The DIFS+backoff wait. A busy medium cancels the event (slots
+	// bank at the freeze) and the busy→idle transition schedules a
+	// fresh one; both are O(1) queue operations. The countdown is armed
+	// iff the handle is non-zero: it is zeroed on fire and on cancel.
 	countdown      eventq.Event
 	countdownStart phy.Micros // when the wait (re)began; the NAV end while NAV-blocked
-	paused         bool       // busy medium froze the wait; entry may linger
 
 	awaiting     awaitKind
 	awaitTimeout eventq.Event
@@ -167,23 +161,10 @@ const (
 // initCallbacks binds the node's reusable event callbacks.
 func (n *Node) initCallbacks() {
 	n.onCountdownFn = func() {
-		// The countdown popped. Under the lazy scheme this is not
-		// necessarily maturity: the wait may have been frozen (busy
-		// medium) since the event was armed, or this may be the NAV
-		// stage completing. Any other pop is a transmit — the eager
-		// scheme's countdown pop carried no checks at all (notably, a
-		// backoff redrawn mid-await does not postpone an event the
-		// eager scheme would have left in place).
 		n.countdown = eventq.Event{}
-		if n.paused || n.busyCount > 0 {
-			// Frozen: the eager scheme had cancelled this event; the
-			// busy→idle transition re-arms.
-			return
-		}
 		if n.net.q.Now() <= n.countdownStart {
 			// NAV-stage pop: the NAV waited out, arm the DIFS+backoff
-			// leg from here, minting its fire rank inside this pop
-			// exactly as the eager NAV-wait event did.
+			// leg from here, minting its fire rank inside this pop.
 			n.countdown = n.net.q.At(n.countdownDeadline(), n.onCountdownFn)
 			return
 		}
@@ -284,19 +265,11 @@ func (n *Node) enqueueFrame(f queuedFrame) {
 	}
 }
 
-// countdownArmed reports whether a countdown is logically armed: the
-// event is still queued and the wait is not frozen. It is the lazy
-// equivalent of the eager scheme's countdown.Scheduled() — a paused
-// wait's lingering heap entry does not count.
-func (n *Node) countdownArmed() bool {
-	return !n.paused && n.countdown.Pending()
-}
-
 // startAccess begins (or resumes) the DIFS + backoff countdown for
 // the head-of-queue frame. fresh marks a first attempt, which may
 // transmit without backoff on a long-idle medium.
 func (n *Node) startAccess(fresh bool) {
-	if n.queueLen() == 0 || n.countdownArmed() || n.transmitting || n.awaiting != awaitNone {
+	if n.queueLen() == 0 || n.countdown.Scheduled() || n.transmitting || n.awaiting != awaitNone {
 		return
 	}
 	now := n.net.q.Now()
@@ -315,13 +288,12 @@ func (n *Node) startAccess(fresh bool) {
 // with its banked backoff; the DIFS restarts from now, behind any
 // NAV.
 func (n *Node) resumeCountdown() {
-	if n.countdownArmed() || n.queueLen() == 0 {
+	if n.countdown.Scheduled() || n.queueLen() == 0 {
 		return
 	}
 	if n.busyCount > 0 {
 		return // mediumBusyDelta(-1) will resume us
 	}
-	n.paused = false
 	now := n.net.q.Now()
 	n.countdownStart = now
 	if n.navUntil > now {
@@ -340,43 +312,23 @@ func (n *Node) countdownDeadline() phy.Micros {
 	return n.countdownStart + phy.DIFS + phy.Micros(n.backoff)*phy.SlotTime
 }
 
-// armCountdown brings the scheduled event up to the live target: an
-// O(1) deferral stamp while a (possibly frozen and stale) event is
-// still queued and not past the target, one cancel+reschedule
-// otherwise. Resumed waits always target later than the entry they
-// chase (the elapsed busy time outweighs the banked slots), so the
-// fallback only triggers when a fresh wait supersedes a lingering
-// frozen one — e.g. a NAV landing mid-backoff, or a redrawn backoff
-// shorter than the abandoned wait's remainder.
-//
-// A NAV-blocked wait arms in two stages, like the eager scheme did:
-// first to the NAV end, then — inside that pop — to DIFS+backoff
-// beyond it. The two-stage shape is what keeps fire order (and so the
-// shared RNG stream) bit-identical to cancel-and-reschedule: the
-// final countdown's FIFO rank must be minted at the NAV end, not when
-// the NAV was overheard.
+// armCountdown schedules the wait. A NAV-blocked wait arms in two
+// stages: first to the NAV end, then, inside that pop, to
+// DIFS+backoff beyond it, so the final countdown's FIFO rank is minted
+// at the NAV end, not when the NAV was overheard.
 func (n *Node) armCountdown() {
 	t := n.countdownDeadline()
 	if wait := n.countdownStart; wait > n.net.q.Now() {
 		t = wait // NAV stage: the backoff leg arms inside this pop
 	}
-	if at, ok := n.countdown.When(); ok {
-		if at <= t {
-			n.countdown.Defer(t)
-			return
-		}
-		n.countdown.Cancel()
-	}
 	n.countdown = n.net.q.At(t, n.onCountdownFn)
 }
 
 // pauseCountdown freezes the backoff timer when the medium goes busy,
-// banking fully-elapsed slots (802.11 freezes, not resets, backoff).
-// The scheduled event is left in the heap — marking the wait paused
-// logically cancels it with no heap traffic; it drains or is
-// re-deferred lazily.
+// banking fully-elapsed slots (802.11 freezes, not resets, backoff),
+// and cancels the scheduled event.
 func (n *Node) pauseCountdown() {
-	if !n.countdownArmed() {
+	if !n.countdown.Scheduled() {
 		return
 	}
 	elapsed := n.net.q.Now() - n.countdownStart - phy.DIFS
@@ -387,7 +339,8 @@ func (n *Node) pauseCountdown() {
 		}
 		n.backoff -= consumed
 	}
-	n.paused = true
+	n.countdown.Cancel()
+	n.countdown = eventq.Event{}
 }
 
 // mediumBusyDelta is called by the medium when a sensed transmission
@@ -689,10 +642,8 @@ func (n *Node) updateNAV(now phy.Micros, duration uint16) {
 	if until > n.navUntil {
 		n.navUntil = until
 		// A running countdown must respect the new NAV: freeze (banks
-		// elapsed slots) and resume behind it. Both halves are O(1)
-		// stamps; the scheduled event chases the new target by
-		// deferral.
-		if n.countdownArmed() && n.busyCount == 0 {
+		// elapsed slots) and resume behind it.
+		if n.countdown.Scheduled() && n.busyCount == 0 {
 			n.pauseCountdown()
 			n.resumeCountdown()
 		}

@@ -268,18 +268,17 @@ func (n *Network) Now() phy.Micros { return n.q.Now() }
 // per captured frame to track scheduler efficiency across PRs.
 func (n *Network) EventsProcessed() uint64 { return n.q.Processed() }
 
-// EventDeferrals returns the number of in-place re-arms of deferred
-// events (see eventq.Event.Defer) — the residual heap traffic of the
-// lazy DCF countdown.
-func (n *Network) EventDeferrals() uint64 { return n.q.Deferrals() }
+// EventDeferrals always returns 0. It counted the in-place re-arms of
+// the lazy DCF countdown, which the eager countdown over the radix
+// event queue replaced; it stays for callers that still report it.
+func (n *Network) EventDeferrals() uint64 { return 0 }
 
-// EventHeapOps returns the total event-queue heap mutations beyond
-// the unavoidable fire pops: schedulings (inserts), eager
-// cancellations (removes), and deferred re-arms (sifts). This is the
-// traffic the lazy DCF countdown cuts from O(overheard busy/idle
-// transitions) to O(transmissions).
+// EventHeapOps returns the event queue's mutations beyond the fire
+// pops: bucket inserts (schedulings), bucket unlinks (cancellations)
+// and bucket relocations (redistributions of the lowest non-empty
+// bucket).
 func (n *Network) EventHeapOps() uint64 {
-	return n.q.Scheduled() + n.q.Cancelled() + n.q.Deferrals()
+	return n.q.Scheduled() + n.q.Cancelled() + n.q.Relocations()
 }
 
 // Rand exposes the deterministic RNG (used by traffic generators).

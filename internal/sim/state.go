@@ -9,11 +9,11 @@ import (
 )
 
 // This file captures the simulator's complete numeric state for the
-// snapshot subsystem: the event queue (slabs, free list, FIFO ranks,
-// deferred re-arm stamps), every node's DCF state (banked backoff
-// slots, freeze flags, NAV legs, transmit queue), the RNG stream
-// position, the pooled in-flight transmissions and active sets, and
-// the link matrix's lazy-invalidation tags.
+// snapshot subsystem: the event queue (slabs, pending events, free
+// list, FIFO ranks), every node's DCF state (banked backoff slots, NAV
+// legs, transmit queue), the RNG stream position, the pooled in-flight
+// transmissions and active sets, and the link matrix's
+// lazy-invalidation tags.
 //
 // Event callbacks are closures and cannot be serialized, so the state
 // is a *witness*, not a constructor: a restore rebuilds the network
@@ -62,7 +62,6 @@ type NodeState struct {
 	IdleSince phy.Micros
 
 	Transmitting   bool
-	Paused         bool // freeze flag of the lazy countdown
 	CountdownStart phy.Micros
 	// CountdownSlot/Pending/When tie the node's countdown handle to
 	// its event-queue slot; a NAV-leg wait shows as When ==
@@ -202,7 +201,7 @@ func (node *Node) captureState() NodeState {
 		Associated: node.associated, AssocCount: node.assocCount,
 		Seq: node.seq, CW: node.cw, Backoff: node.backoff, Busy: node.busyCount,
 		NavUntil: node.navUntil, IdleSince: node.idleSince,
-		Transmitting: node.transmitting, Paused: node.paused,
+		Transmitting:   node.transmitting,
 		CountdownStart: node.countdownStart,
 		Awaiting:       int8(node.awaiting),
 		PendingResp:    int8(node.pendingResp),

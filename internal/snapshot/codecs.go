@@ -17,27 +17,25 @@ import (
 func EncodeQueueState(st eventq.QueueState) []byte {
 	var e Enc
 	e.I64(st.Now)
+	e.I64(st.Last)
 	e.U64(st.Seq)
 	e.U64(st.Runs)
-	e.U64(st.Deferrals)
+	e.U64(st.Relocs)
 	e.U64(st.Scheds)
 	e.U64(st.Cancels)
 	e.Count(len(st.Slots))
 	for _, s := range st.Slots {
 		e.I64(s.At)
-		e.I64(s.Deadline)
 		e.U64(s.Seq)
-		e.U64(s.DeferSeq)
-		e.I32(s.Pos)
 		e.U32(s.Gen)
 		e.U8(s.State)
 		e.Bool(s.HasFn)
 	}
-	e.Count(len(st.Heap))
-	for _, h := range st.Heap {
-		e.I64(h.At)
-		e.U64(h.Seq)
-		e.I32(h.Idx)
+	e.Count(len(st.Pending))
+	for _, p := range st.Pending {
+		e.I64(p.At)
+		e.U64(p.Seq)
+		e.I32(p.Idx)
 	}
 	e.Count(len(st.Free))
 	for _, f := range st.Free {
@@ -50,19 +48,18 @@ func EncodeQueueState(st eventq.QueueState) []byte {
 func DecodeQueueState(b []byte) (eventq.QueueState, error) {
 	d := NewDec(b)
 	st := eventq.QueueState{
-		Now: d.I64(), Seq: d.U64(), Runs: d.U64(),
-		Deferrals: d.U64(), Scheds: d.U64(), Cancels: d.U64(),
+		Now: d.I64(), Last: d.I64(), Seq: d.U64(), Runs: d.U64(),
+		Relocs: d.U64(), Scheds: d.U64(), Cancels: d.U64(),
 	}
-	nslots := d.Count(42) // 4×8 + 4 + 4 + 1 + 1 bytes per slot
+	nslots := d.Count(22) // 8 + 8 + 4 + 1 + 1 bytes per slot
 	for i := 0; i < nslots; i++ {
 		st.Slots = append(st.Slots, eventq.SlotState{
-			At: d.I64(), Deadline: d.I64(), Seq: d.U64(), DeferSeq: d.U64(),
-			Pos: d.I32(), Gen: d.U32(), State: d.U8(), HasFn: d.Bool(),
+			At: d.I64(), Seq: d.U64(), Gen: d.U32(), State: d.U8(), HasFn: d.Bool(),
 		})
 	}
-	nheap := d.Count(20)
-	for i := 0; i < nheap; i++ {
-		st.Heap = append(st.Heap, eventq.HeapEntryState{At: d.I64(), Seq: d.U64(), Idx: d.I32()})
+	npending := d.Count(20)
+	for i := 0; i < npending; i++ {
+		st.Pending = append(st.Pending, eventq.EntryState{At: d.I64(), Seq: d.U64(), Idx: d.I32()})
 	}
 	nfree := d.Count(4)
 	for i := 0; i < nfree; i++ {
@@ -122,7 +119,6 @@ func encodeNode(e *Enc, n sim.NodeState) {
 	e.I64(n.NavUntil)
 	e.I64(n.IdleSince)
 	e.Bool(n.Transmitting)
-	e.Bool(n.Paused)
 	e.I64(n.CountdownStart)
 	e.I32(n.CountdownSlot)
 	e.Bool(n.CountdownPending)
@@ -155,7 +151,7 @@ func decodeNode(d *Dec) sim.NodeState {
 	n.Seq = d.U16()
 	n.CW, n.Backoff, n.Busy = d.Int(), d.Int(), d.Int()
 	n.NavUntil, n.IdleSince = d.I64(), d.I64()
-	n.Transmitting, n.Paused = d.Bool(), d.Bool()
+	n.Transmitting = d.Bool()
 	n.CountdownStart = d.I64()
 	n.CountdownSlot, n.CountdownPending, n.CountdownWhen = d.I32(), d.Bool(), d.I64()
 	n.Awaiting = int8(d.U8())

@@ -26,7 +26,13 @@ import (
 //
 // v2: NETW link-row tags carry stored-population counts and the
 // payload ends with the spatial index witness (sparse link matrix).
-const Version = 2
+//
+// v3: EVTQ saves the radix queue: the bucketing base (time of the last
+// fired event), a relocation counter in place of the deferral one,
+// slots without heap position or deferral stamps, and the pending
+// events as one list sorted by (time, seq). The NETW node record loses
+// the lazy countdown's freeze flag.
+const Version = 3
 
 const (
 	magic  = "WLSNAP"

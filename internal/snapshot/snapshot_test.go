@@ -79,6 +79,12 @@ func TestParseRejectsCorruption(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version bump error = %v", err)
 	}
+	// A v2 file (written before the radix event queue) is refused by
+	// version, before its sections could fail the replay comparison.
+	mut[6] = 2
+	if _, err := Parse(mut); err == nil || !strings.Contains(err.Error(), "unsupported format version 2") {
+		t.Fatalf("v2 file error = %v", err)
+	}
 	// Trailing garbage after a valid END is rejected.
 	if _, err := Parse(append(append([]byte(nil), good...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
@@ -126,8 +132,9 @@ func TestDecFinishCatchesTrailingBytes(t *testing.T) {
 
 // TestQueueStateRoundTrip exercises the eventq witness through a
 // queue with every interesting shape present: fired slots recycled
-// through the free list, cancelled slots, deferred events with stale
-// heap entries (deadline > heap key), and same-instant FIFO ranks.
+// through the free list, cancelled slots, events re-armed by cancel
+// and reschedule (as the DCF countdown does), a RunUntil that stopped
+// short of the next event, and same-instant FIFO ranks.
 // The property: encode → decode → RestoreState yields a queue whose
 // SaveState re-encodes to identical bytes AND whose future fire
 // sequence matches the original exactly.
@@ -142,24 +149,27 @@ func TestQueueStateRoundTrip(t *testing.T) {
 		mk := func(label string) func() {
 			return func() { *log = append(*log, label) }
 		}
-		for i := 0; i < 8; i++ {
-			label := fmt.Sprintf("ev%d", i)
-			evs = append(evs, q.At(phy.Micros(100+10*i), mk(label)))
+		at := func(t phy.Micros, label string) {
+			evs = append(evs, q.At(t, mk(label)))
 			labels = append(labels, label)
+		}
+		for i := 0; i < 8; i++ {
+			at(phy.Micros(100+10*i), fmt.Sprintf("ev%d", i))
 		}
 		// Same-instant pair to pin FIFO ranks.
 		for i := 0; i < 2; i++ {
-			label := fmt.Sprintf("tie%d", i)
-			evs = append(evs, q.At(500, mk(label)))
-			labels = append(labels, label)
+			at(500, fmt.Sprintf("tie%d", i))
 		}
-		q.RunUntil(115)   // fires ev0, ev1 → slots recycled
-		evs[2].Cancel()   // cancelled slot
-		evs[3].Defer(400) // stale heap entry at 130, deadline 400
-		evs[4].Defer(400) // ties with ev3 at the deferred instant
+		q.RunUntil(115) // fires ev0, ev1 → slots recycled
+		evs[2].Cancel() // cancelled slot
+		// Re-arm ev3 and ev4 to t=400 (ev3 first): fresh FIFO ranks
+		// at the new instant, on recycled slots.
+		evs[3].Cancel()
+		at(400, "ev3")
+		evs[4].Cancel()
+		at(400, "ev4")
 		// Reuses a freed slot through the free list.
-		evs = append(evs, q.At(120, mk("reused")))
-		labels = append(labels, "reused")
+		at(120, "reused")
 		return q, evs, labels
 	}
 
@@ -177,6 +187,15 @@ func TestQueueStateRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(enc, EncodeQueueState(dec)) {
 		t.Fatal("re-encode not byte-identical")
+	}
+	if st.Last != 110 || st.Now != 115 {
+		t.Fatalf("last=%d now=%d, want 110 and 115 (RunUntil stopped short)", st.Last, st.Now)
+	}
+	for i := 1; i < len(st.Pending); i++ {
+		a, b := st.Pending[i-1], st.Pending[i]
+		if a.At > b.At || (a.At == b.At && a.Seq >= b.Seq) {
+			t.Fatalf("pending list not sorted by (at, seq): %+v", st.Pending)
+		}
 	}
 
 	// Restore with callbacks rebound by slot, replaying the original
@@ -203,7 +222,8 @@ func TestQueueStateRoundTrip(t *testing.T) {
 		t.Fatal("restored queue state not byte-identical")
 	}
 
-	// Future behaviour must match: run both to completion.
+	// Future behaviour must match: run both to completion, counters
+	// included.
 	origLog = origLog[:0]
 	restLog = restLog[:0]
 	orig.Run()
@@ -211,9 +231,11 @@ func TestQueueStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(origLog, restLog) {
 		t.Fatalf("fire sequence diverged:\noriginal: %v\nrestored: %v", origLog, restLog)
 	}
-	// The deferred events must have survived with their stamps: ev3
-	// then ev4 at t=400 (Defer-time FIFO ranks), after "reused" and
-	// before the 500 ties.
+	if !bytes.Equal(EncodeQueueState(orig.SaveState()), EncodeQueueState(restored.SaveState())) {
+		t.Fatal("drained queues differ")
+	}
+	// The re-armed events fire at t=400 in re-arm order, after
+	// "reused" and before the 500 ties.
 	want := []string{"reused", "ev5", "ev6", "ev7", "ev3", "ev4", "tie0", "tie1"}
 	if !reflect.DeepEqual(origLog, want) {
 		t.Fatalf("fire sequence = %v, want %v", origLog, want)
@@ -225,11 +247,21 @@ func TestQueueStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreStateRejectsStructuralDamage feeds RestoreState hostile
+// variants of a valid state: each must come back as an error, never a
+// panic or a queue that would run the clock backwards or fire a slot
+// twice.
 func TestRestoreStateRejectsStructuralDamage(t *testing.T) {
 	q := &eventq.Queue{}
 	q.At(100, func() {})
 	q.At(200, func() {})
+	q.At(300, func() {}).Cancel()
+	q.At(50, func() {})
+	q.RunUntil(60) // fires the t=50 event: now 60, last 50
 	good := q.SaveState()
+	if _, err := eventq.RestoreState(good, func(int) func() { return func() {} }); err != nil {
+		t.Fatalf("control state rejected: %v", err)
+	}
 
 	cases := []struct {
 		name string
@@ -237,11 +269,25 @@ func TestRestoreStateRejectsStructuralDamage(t *testing.T) {
 	}{
 		{"unknown slot state", func(st *eventq.QueueState) { st.Slots[0].State = 99 }},
 		{"pending without callback", func(st *eventq.QueueState) { st.Slots[0].HasFn = false }},
-		{"heap idx out of range", func(st *eventq.QueueState) { st.Heap[0].Idx = 42 }},
-		{"heap/slot pos disagreement", func(st *eventq.QueueState) { st.Slots[0].Pos = 7 }},
-		{"pending count mismatch", func(st *eventq.QueueState) { st.Heap = st.Heap[:1] }},
+		{"pending idx out of range", func(st *eventq.QueueState) { st.Pending[0].Idx = 42 }},
+		{"pending entry disagrees with slot", func(st *eventq.QueueState) { st.Pending[0].At = 101 }},
+		{"pending count mismatch", func(st *eventq.QueueState) { st.Pending = st.Pending[:1] }},
+		{"pending out of order", func(st *eventq.QueueState) {
+			st.Pending[0], st.Pending[1] = st.Pending[1], st.Pending[0]
+		}},
+		{"pending before now", func(st *eventq.QueueState) {
+			st.Slots[st.Pending[0].Idx].At = 55
+			st.Pending[0].At = 55
+		}},
+		{"slot listed twice", func(st *eventq.QueueState) {
+			st.Pending = append(st.Pending, st.Pending[len(st.Pending)-1])
+		}},
+		{"pending rank at next rank", func(st *eventq.QueueState) { st.Seq = st.Pending[1].Seq }},
+		{"last after now", func(st *eventq.QueueState) { st.Last = st.Now + 1 }},
+		{"negative last", func(st *eventq.QueueState) { st.Last = -1 }},
 		{"free entry out of range", func(st *eventq.QueueState) { st.Free = append(st.Free, 99) }},
-		{"free entry pending", func(st *eventq.QueueState) { st.Free = append(st.Free, 0) }},
+		{"free entry pending", func(st *eventq.QueueState) { st.Free = append(st.Free, st.Pending[0].Idx) }},
+		{"free entry listed twice", func(st *eventq.QueueState) { st.Free = append(st.Free, st.Free[0]) }},
 	}
 	for _, tc := range cases {
 		enc := EncodeQueueState(good)

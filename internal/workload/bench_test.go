@@ -16,9 +16,9 @@ import (
 // capture arena) stays measurable.
 
 // reportEventQueueMetrics reports the per-frame event-queue costs the
-// BENCH_N trajectory tracks: fired callbacks and heap mutations
-// beyond the unavoidable pops (schedulings + cancellations + deferred
-// re-keys) — the traffic the lazy DCF countdown cut.
+// BENCH_N trajectory tracks: fired callbacks, and queue mutations
+// beyond the fire pops (bucket inserts + cancels + relocations; see
+// sim.Network.EventHeapOps).
 func reportEventQueueMetrics(b *testing.B, net *sim.Network, frames int) {
 	b.ReportMetric(float64(net.EventsProcessed())/float64(frames), "evq_events/frame")
 	b.ReportMetric(float64(net.EventHeapOps())/float64(frames), "evq_heapops/frame")
@@ -81,11 +81,9 @@ func BenchmarkSimDayCheckpointed(b *testing.B) {
 }
 
 // BenchmarkSimGrid runs the multi-cell grid end to end and reports the
-// event-queue traffic behind each captured frame — the cost the lazy
-// DCF countdown shrinks (dense co-channel cells make every contender
-// overhear every transmission). evq_events/frame counts fired
-// callbacks; evq_rearms/frame counts in-place re-arms of deferred
-// countdowns, the lazy scheme's residual heap work.
+// event-queue traffic behind each captured frame (dense co-channel
+// cells make every contender overhear every transmission, so every
+// contender's countdown freezes and resumes on each one).
 func BenchmarkSimGrid(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -98,7 +96,6 @@ func BenchmarkSimGrid(b *testing.B) {
 			b.Fatal("empty trace")
 		}
 		reportEventQueueMetrics(b, built.Net, len(recs))
-		b.ReportMetric(float64(built.Net.EventDeferrals())/float64(len(recs)), "evq_rearms/frame")
 	}
 }
 

@@ -264,3 +264,32 @@ func TestDigestOrderInsensitive(t *testing.T) {
 		}
 	}
 }
+
+// TestEventCountsPinned pins how many events the paper sessions fire
+// at their golden scale. The counts are a pure function of the
+// scenario and seed; the goldens pin what the events do, this pins
+// how many it takes. The eager DCF countdown cancels a frozen wait
+// instead of leaving it queued, so the parent lazy scheme's frozen
+// countdown pops (55 in day, 351 in plenary here; 330,793 and
+// 7,689,992 at full scale) are gone. A change that brings such
+// do-nothing pops back moves these counts while leaving the traces
+// bit-identical.
+func TestEventCountsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    Session
+		want uint64
+	}{
+		{"day", DaySession().Scale(0.1), 12205},
+		{"plenary", PlenarySession().Scale(0.1), 25738},
+	} {
+		b, err := tc.s.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Run()
+		if got := b.Net.EventsProcessed(); got != tc.want {
+			t.Errorf("%s: %d events fired, want %d", tc.name, got, tc.want)
+		}
+	}
+}
