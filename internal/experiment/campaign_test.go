@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -140,6 +141,46 @@ func TestVerifyRejectsForeignSnapshot(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "does not match replayed state") {
 		t.Fatalf("foreign snapshot accepted: %v", err)
+	}
+}
+
+// TestSnapshotBytesPinned pins the SHA-256 of the complete file a
+// campaign cell writes at its first checkpoint. The state sections are
+// witnesses compared byte for byte on resume, so any change to their
+// bytes makes every checkpoint written by an older build unresumable:
+// such a change must bump snapshot.Version and update these constants.
+// grid9 has several sniffers, so its PIPE section carries a dedup
+// window witness as well as the reorder one.
+func TestSnapshotBytesPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		scale float64
+		want  string
+	}{
+		{"day", 0.1, "a0623ca084e3ed8b7ff8b809605b4a29d4b2d61f00f79724138b0c2a8eb8685d"},
+		{"grid9", 0.35, "268d95562ba44a67bf5cc3833acec8821371ba2fd33e4ff99dd2b2fa67953738"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, err := campaign(context.Background(), dir, RunSpecOpts{
+				Matrix:           Matrix{Scenarios: []string{tc.name}, Seeds: []int64{1}, Scales: []float64{tc.scale}},
+				Workers:          1,
+				CheckpointMicros: 2 * phy.MicrosPerSecond,
+				Injector:         faultinject.New(faultinject.Plan{Point: faultinject.MidRun, Run: 0, Checkpoint: 0}),
+			})
+			var crashed faultinject.Crashed
+			if !errors.As(err, &crashed) {
+				t.Fatalf("campaign did not stop at the first checkpoint: %v", err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, snapshotsDir, "run-0.snap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.want {
+				t.Fatalf("first checkpoint (%d bytes) sha256 = %s, want %s", len(data), got, tc.want)
+			}
+		})
 	}
 }
 

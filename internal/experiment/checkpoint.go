@@ -165,20 +165,9 @@ func (r *Reorder) captureWitness(e *snapshot.Enc) {
 	e.Int(r.maxPending)
 	e.Int(len(r.heap))
 	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= 1099511628211
-		}
-	}
 	for i := range r.heap {
 		p := &r.heap[i]
-		mix(uint64(p.rec.Time))
-		mix(uint64(p.rec.SnifferID))
-		mix(p.seq)
-		mix(uint64(len(p.rec.Frame)))
+		h = fnv1aWords(h, uint64(p.rec.Time), uint64(p.rec.SnifferID), p.seq, uint64(len(p.rec.Frame)))
 		h = fnv1aFold(h, p.rec.Frame)
 	}
 	e.U64(h)
@@ -191,20 +180,9 @@ func (d *Dedup) captureWitness(e *snapshot.Enc) {
 	e.Int(d.maxPending)
 	e.Int(len(d.window) - d.head)
 	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= 1099511628211
-		}
-	}
 	for i := d.head; i < len(d.window); i++ {
 		en := &d.window[i]
-		mix(uint64(en.time))
-		mix(uint64(en.channel))
-		mix(uint64(en.rate))
-		mix(en.hash)
+		h = fnv1aWords(h, uint64(en.time), uint64(en.channel), uint64(en.rate), en.hash)
 		h = fnv1aFold(h, en.buf)
 	}
 	e.U64(h)
@@ -215,6 +193,18 @@ func fnv1aFold(h uint64, b []byte) uint64 {
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= 1099511628211
+	}
+	return h
+}
+
+// fnv1aWords continues an fnv-1a hash over each word's 8
+// little-endian bytes, in order.
+func fnv1aWords(h uint64, words ...uint64) uint64 {
+	for _, w := range words {
+		for i := 0; i < 64; i += 8 {
+			h ^= w >> i & 0xff
+			h *= 1099511628211
+		}
 	}
 	return h
 }

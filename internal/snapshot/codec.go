@@ -47,11 +47,12 @@ func (e *Enc) Str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Dec reads an Enc payload back. It is error-sticky: the first defect
-// latches Err and every later read returns zero values, so decoders
-// can read a whole structure and check once. Counts are validated
-// against the bytes actually remaining, so a hostile length can never
-// drive an allocation larger than the input itself.
+// Dec reads an Enc payload back; the campaign META section is its one
+// reader. It is error-sticky: the first defect is kept and every later
+// read returns zero values, so a decoder can read a whole structure and
+// check once, with Finish. Counts are validated against the bytes
+// actually remaining, so a hostile length can never drive an
+// allocation larger than the input itself.
 type Dec struct {
 	buf []byte
 	off int
@@ -60,9 +61,6 @@ type Dec struct {
 
 // NewDec wraps a payload for decoding.
 func NewDec(b []byte) *Dec { return &Dec{buf: b} }
-
-// Err returns the first decoding defect, or nil.
-func (d *Dec) Err() error { return d.err }
 
 // Remaining returns how many undecoded bytes are left.
 func (d *Dec) Remaining() int { return len(d.buf) - d.off }
@@ -95,30 +93,6 @@ func (d *Dec) take(n int) []byte {
 	return b
 }
 
-func (d *Dec) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *Dec) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (d *Dec) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
 func (d *Dec) U64() uint64 {
 	b := d.take(8)
 	if b == nil {
@@ -127,22 +101,9 @@ func (d *Dec) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (d *Dec) I32() int32   { return int32(d.U32()) }
 func (d *Dec) I64() int64   { return int64(d.U64()) }
 func (d *Dec) Int() int     { return int(d.I64()) }
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-
-func (d *Dec) Bool() bool {
-	switch d.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.failf("bool out of range")
-		return false
-	}
-}
 
 // Count reads an element count and validates it against the remaining
 // input, assuming each element occupies at least elemMin bytes. This
@@ -157,6 +118,13 @@ func (d *Dec) Count(elemMin int) int {
 		d.failf("bad uvarint: %v", ErrTruncated)
 		return 0
 	}
+	// A trailing zero byte pads the value without changing it; Enc
+	// never writes one, and accepting it would let two byte strings
+	// decode alike.
+	if sz > 1 && d.buf[d.off+sz-1] == 0 {
+		d.failf("non-minimal uvarint")
+		return 0
+	}
 	d.off += sz
 	if elemMin < 1 {
 		elemMin = 1
@@ -166,16 +134,6 @@ func (d *Dec) Count(elemMin int) int {
 		return 0
 	}
 	return int(n)
-}
-
-// Blob reads a uvarint length and returns a copy of that many bytes.
-func (d *Dec) Blob() []byte {
-	n := d.Count(1)
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
 }
 
 // Str reads a uvarint length and that many bytes as a string.

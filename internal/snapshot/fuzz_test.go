@@ -3,17 +3,19 @@ package snapshot
 import (
 	"testing"
 
-	"wlan80211/internal/eventq"
+	"wlan80211/internal/sniffer"
 	"wlan80211/internal/workload"
 )
 
-// FuzzParse drives the full decode path — container framing, checksum,
-// and every typed section codec — with arbitrary bytes. The invariant:
-// errors, never panics, and (via Dec.Count's remaining-bytes cap)
-// never allocations beyond the input size. The seed corpus in
-// testdata/fuzz/FuzzParse pins real snapshots, truncations, bit
-// flips, and version bumps; `go test` replays it on every run, so the
-// race job exercises it too.
+// FuzzParse drives the container parser — framing, the END trailer,
+// the checksum and section lookup — with arbitrary bytes. The
+// invariant: errors, never panics, and never allocations beyond the
+// input size. The state sections are write-only witnesses and have no
+// decoder to fuzz; the campaign META decoder has its own target,
+// FuzzSnapshotMeta in internal/experiment. The seed corpus in
+// testdata/fuzz/FuzzParse pins real snapshots, truncations, bit flips
+// and version bumps; `go test` replays it on every run, so the race
+// job exercises it too.
 func FuzzParse(f *testing.F) {
 	// Real snapshot of a mid-run network plus hand-made degenerate
 	// shapes as live seeds (the checked-in corpus extends these).
@@ -22,9 +24,13 @@ func FuzzParse(f *testing.F) {
 		f.Fatal(err)
 	}
 	b.Net.RunUntil(500_000)
+	states := make([]sniffer.State, len(b.Sniffers))
+	for i, sn := range b.Sniffers {
+		states[i] = sn.CaptureState()
+	}
 	bl := NewBuilder()
 	bl.Section(TagNetwork, EncodeNetworkState(b.Net.CaptureState()))
-	bl.Section(TagQueue, EncodeQueueState(b.Net.CaptureState().Queue))
+	bl.Section(TagSniffers, EncodeSnifferStates(states))
 	real := bl.Finish()
 	f.Add(real)
 	f.Add(real[:len(real)/2])
@@ -41,20 +47,15 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A structurally valid container: decode every known section;
-		// failures must come back as errors only.
-		if p, ok := file.Section(TagQueue); ok {
-			if st, err := DecodeQueueState(p); err == nil {
-				// Even a decodable state may be structurally invalid;
-				// RestoreState must reject it without panicking.
-				_, _ = eventq.RestoreState(st, func(int) func() { return func() {} })
+		// Every section of an accepted file lies inside the input.
+		total := 0
+		for _, tag := range []string{TagMeta, TagNetwork, TagSniffers, TagPipeline} {
+			if p, err := file.MustSection(tag); err == nil {
+				total += len(p)
 			}
 		}
-		if p, ok := file.Section(TagNetwork); ok {
-			_, _ = DecodeNetworkState(p)
-		}
-		if p, ok := file.Section(TagSniffers); ok {
-			_, _ = DecodeSnifferStates(p)
+		if total > len(data) {
+			t.Fatalf("sections hold %d bytes of a %d-byte input", total, len(data))
 		}
 	})
 }

@@ -3,14 +3,17 @@
 // run — event queue slabs, per-node DCF state, RNG stream positions,
 // in-flight transmissions, link-matrix tags, sniffer and analysis
 // pipeline counters — as a witness that a deterministic replay is
-// verified against byte for byte (closures cannot be serialized, so
-// restore is replay-then-prove; see internal/sim/state.go).
+// verified against byte for byte. The state sections are write-only:
+// closures cannot be serialized, so a resume replays the run from zero
+// and compares re-encoded sections with the stored ones, and nothing
+// decodes them (see internal/sim/state.go). Only the container and the
+// campaign's META section are ever parsed.
 //
 // The container is self-describing and fails loud: a fixed magic and
 // version header, a sequence of tagged length-prefixed sections, and
 // an END trailer carrying a CRC64 of everything before it. Corrupt,
 // truncated, version-bumped, or oversized inputs return errors — the
-// decoder never panics and never allocates more than the input could
+// parser never panics and never allocates more than the input could
 // justify, so it is safe to fuzz and to point at arbitrary files.
 package snapshot
 
@@ -43,8 +46,7 @@ const (
 // itself accepts any 4-byte tag; these are the well-known ones.
 const (
 	TagMeta     = "META" // campaign/run identity (written by experiment)
-	TagQueue    = "EVTQ" // eventq.QueueState
-	TagNetwork  = "NETW" // sim.NetworkState
+	TagNetwork  = "NETW" // sim.NetworkState, event queue included
 	TagSniffers = "SNIF" // []sniffer.State
 	TagPipeline = "PIPE" // Reorder/Dedup/analysis state (experiment)
 )
@@ -95,7 +97,6 @@ func (b *Builder) Finish() []byte {
 // File is a parsed snapshot. Section payloads alias the input buffer.
 type File struct {
 	Version  uint16
-	tags     []string
 	payloads map[string][]byte
 }
 
@@ -145,15 +146,8 @@ func Parse(data []byte) (*File, error) {
 			return nil, fmt.Errorf("snapshot: duplicate section %q", tag)
 		}
 		f.payloads[tag] = payload
-		f.tags = append(f.tags, tag)
 		off = body + int(ln)
 	}
-}
-
-// Section returns a section's payload and whether it is present.
-func (f *File) Section(tag string) ([]byte, bool) {
-	p, ok := f.payloads[tag]
-	return p, ok
 }
 
 // MustSection returns a section's payload or an error naming the tag.
@@ -164,6 +158,3 @@ func (f *File) MustSection(tag string) ([]byte, error) {
 	}
 	return p, nil
 }
-
-// Tags lists the sections in file order.
-func (f *File) Tags() []string { return f.tags }

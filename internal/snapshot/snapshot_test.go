@@ -12,13 +12,12 @@ import (
 
 	"wlan80211/internal/eventq"
 	"wlan80211/internal/phy"
-	"wlan80211/internal/sniffer"
 )
 
 func TestContainerRoundTrip(t *testing.T) {
 	b := NewBuilder()
 	b.Section(TagMeta, []byte("hello"))
-	b.Section(TagQueue, nil)
+	b.Section(TagSniffers, nil)
 	b.Section(TagNetwork, bytes.Repeat([]byte{0xAB}, 300))
 	data := b.Finish()
 
@@ -29,19 +28,16 @@ func TestContainerRoundTrip(t *testing.T) {
 	if f.Version != Version {
 		t.Fatalf("version = %d, want %d", f.Version, Version)
 	}
-	if got := f.Tags(); !reflect.DeepEqual(got, []string{TagMeta, TagQueue, TagNetwork}) {
-		t.Fatalf("tags = %v", got)
+	if p, err := f.MustSection(TagMeta); err != nil || string(p) != "hello" {
+		t.Fatalf("META = %q, %v", p, err)
 	}
-	if p, ok := f.Section(TagMeta); !ok || string(p) != "hello" {
-		t.Fatalf("META = %q, %v", p, ok)
+	if p, err := f.MustSection(TagSniffers); err != nil || len(p) != 0 {
+		t.Fatalf("SNIF = %q, %v", p, err)
 	}
-	if p, ok := f.Section(TagQueue); !ok || len(p) != 0 {
-		t.Fatalf("EVTQ = %q, %v", p, ok)
+	if p, err := f.MustSection(TagNetwork); err != nil || !bytes.Equal(p, bytes.Repeat([]byte{0xAB}, 300)) {
+		t.Fatalf("NETW = %d bytes, %v", len(p), err)
 	}
-	if _, ok := f.Section(TagSniffers); ok {
-		t.Fatal("absent section reported present")
-	}
-	if _, err := f.MustSection(TagSniffers); err == nil {
+	if _, err := f.MustSection(TagPipeline); err == nil {
 		t.Fatal("MustSection of absent section did not error")
 	}
 }
@@ -112,8 +108,27 @@ func TestDecCountCapsAllocation(t *testing.T) {
 	var e Enc
 	e.Count(1 << 40) // claims a trillion elements
 	d := NewDec(e.Bytes())
-	if n := d.Count(8); n != 0 || d.Err() == nil {
-		t.Fatalf("hostile count: n=%d err=%v", n, d.Err())
+	if n := d.Count(8); n != 0 {
+		t.Fatalf("hostile count: n=%d", n)
+	}
+	if err := d.Finish(); err == nil {
+		t.Fatal("hostile count not reported")
+	}
+}
+
+// TestDecCountRejectsNonMinimal: a length padded with a trailing zero
+// byte decodes to the same value as the minimal form, so accepting it
+// would let two different payloads decode alike.
+func TestDecCountRejectsNonMinimal(t *testing.T) {
+	for _, b := range [][]byte{{0x85, 0x00}, {0x80, 0x80, 0x00}} {
+		d := NewDec(append(b, "grid9"...))
+		if s := d.Str(); s != "" || d.Finish() == nil {
+			t.Fatalf("% x: non-minimal length accepted (%q)", b, s)
+		}
+	}
+	d := NewDec([]byte{0x05, 'g', 'r', 'i', 'd', '9'})
+	if s := d.Str(); s != "grid9" || d.Finish() != nil {
+		t.Fatalf("minimal length: %q, %v", s, d.Finish())
 	}
 }
 
@@ -134,60 +149,37 @@ func TestDecFinishCatchesTrailingBytes(t *testing.T) {
 // queue with every interesting shape present: fired slots recycled
 // through the free list, cancelled slots, events re-armed by cancel
 // and reschedule (as the DCF countdown does), a RunUntil that stopped
-// short of the next event, and same-instant FIFO ranks.
-// The property: encode → decode → RestoreState yields a queue whose
-// SaveState re-encodes to identical bytes AND whose future fire
-// sequence matches the original exactly.
+// short of the next event, and same-instant FIFO ranks. The captured
+// state must hold the pending events sorted by (time, seq) and the
+// clock and bucketing base where RunUntil left them, capturing must
+// not disturb the fire order, and the witness must encode the same
+// bytes for the same state.
 func TestQueueStateRoundTrip(t *testing.T) {
-	// build constructs the queue and returns each event's label in
-	// creation order, so a restore can map slots back to behaviours
-	// (later creations override earlier ones on recycled slots).
-	build := func(log *[]string) (*eventq.Queue, []eventq.Event, []string) {
-		q := &eventq.Queue{}
-		var evs []eventq.Event
-		var labels []string
-		mk := func(label string) func() {
-			return func() { *log = append(*log, label) }
-		}
-		at := func(t phy.Micros, label string) {
-			evs = append(evs, q.At(t, mk(label)))
-			labels = append(labels, label)
-		}
-		for i := 0; i < 8; i++ {
-			at(phy.Micros(100+10*i), fmt.Sprintf("ev%d", i))
-		}
-		// Same-instant pair to pin FIFO ranks.
-		for i := 0; i < 2; i++ {
-			at(500, fmt.Sprintf("tie%d", i))
-		}
-		q.RunUntil(115) // fires ev0, ev1 → slots recycled
-		evs[2].Cancel() // cancelled slot
-		// Re-arm ev3 and ev4 to t=400 (ev3 first): fresh FIFO ranks
-		// at the new instant, on recycled slots.
-		evs[3].Cancel()
-		at(400, "ev3")
-		evs[4].Cancel()
-		at(400, "ev4")
-		// Reuses a freed slot through the free list.
-		at(120, "reused")
-		return q, evs, labels
+	var log []string
+	q := &eventq.Queue{}
+	var evs []eventq.Event
+	at := func(t phy.Micros, label string) {
+		evs = append(evs, q.At(t, func() { log = append(log, label) }))
 	}
+	for i := 0; i < 8; i++ {
+		at(phy.Micros(100+10*i), fmt.Sprintf("ev%d", i))
+	}
+	// Same-instant pair to pin FIFO ranks.
+	for i := 0; i < 2; i++ {
+		at(500, fmt.Sprintf("tie%d", i))
+	}
+	q.RunUntil(115) // fires ev0, ev1 → slots recycled
+	evs[2].Cancel() // cancelled slot
+	// Re-arm ev3 and ev4 to t=400 (ev3 first): fresh FIFO ranks at the
+	// new instant, on recycled slots.
+	evs[3].Cancel()
+	at(400, "ev3")
+	evs[4].Cancel()
+	at(400, "ev4")
+	// Reuses a freed slot through the free list.
+	at(120, "reused")
 
-	var origLog []string
-	orig, origEvs, _ := build(&origLog)
-
-	st := orig.SaveState()
-	enc := EncodeQueueState(st)
-	dec, err := DecodeQueueState(enc)
-	if err != nil {
-		t.Fatalf("DecodeQueueState: %v", err)
-	}
-	if !reflect.DeepEqual(st, dec) {
-		t.Fatalf("state mismatch after round trip:\n  %+v\nvs\n  %+v", st, dec)
-	}
-	if !bytes.Equal(enc, EncodeQueueState(dec)) {
-		t.Fatal("re-encode not byte-identical")
-	}
+	st := q.SaveState()
 	if st.Last != 110 || st.Now != 115 {
 		t.Fatalf("last=%d now=%d, want 110 and 115 (RunUntil stopped short)", st.Last, st.Now)
 	}
@@ -197,123 +189,20 @@ func TestQueueStateRoundTrip(t *testing.T) {
 			t.Fatalf("pending list not sorted by (at, seq): %+v", st.Pending)
 		}
 	}
-
-	// Restore with callbacks rebound by slot, replaying the original
-	// construction on a scratch queue to learn which slot each event
-	// landed in (creation order, so recycled slots take the newest
-	// behaviour — exactly how a deterministic replay rebinds).
-	var restLog []string
-	var scratch []string
-	_, tmplEvs, labels := build(&scratch)
-	slotFns := map[int]func(){}
-	for i, ev := range tmplEvs {
-		if s := ev.Slot(); s >= 0 {
-			label := labels[i]
-			slotFns[int(s)] = func() { restLog = append(restLog, label) }
-		}
-	}
-	restored, err := eventq.RestoreState(dec, func(slot int) func() {
-		return slotFns[slot]
-	})
-	if err != nil {
-		t.Fatalf("RestoreState: %v", err)
-	}
-	if !bytes.Equal(EncodeQueueState(restored.SaveState()), enc) {
-		t.Fatal("restored queue state not byte-identical")
+	if !bytes.Equal(encodeQueueState(st), encodeQueueState(q.SaveState())) {
+		t.Fatal("two captures of one state encode differently")
 	}
 
-	// Future behaviour must match: run both to completion, counters
-	// included.
-	origLog = origLog[:0]
-	restLog = restLog[:0]
-	orig.Run()
-	restored.Run()
-	if !reflect.DeepEqual(origLog, restLog) {
-		t.Fatalf("fire sequence diverged:\noriginal: %v\nrestored: %v", origLog, restLog)
-	}
-	if !bytes.Equal(EncodeQueueState(orig.SaveState()), EncodeQueueState(restored.SaveState())) {
-		t.Fatal("drained queues differ")
-	}
+	log = log[:0]
+	q.Run()
 	// The re-armed events fire at t=400 in re-arm order, after
 	// "reused" and before the 500 ties.
 	want := []string{"reused", "ev5", "ev6", "ev7", "ev3", "ev4", "tie0", "tie1"}
-	if !reflect.DeepEqual(origLog, want) {
-		t.Fatalf("fire sequence = %v, want %v", origLog, want)
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("fire sequence = %v, want %v", log, want)
 	}
-
-	// Handles reconstructed via Handle() keep working.
-	if origEvs[0].Pending() {
+	if evs[0].Pending() {
 		t.Fatal("fired event still pending")
-	}
-}
-
-// TestRestoreStateRejectsStructuralDamage feeds RestoreState hostile
-// variants of a valid state: each must come back as an error, never a
-// panic or a queue that would run the clock backwards or fire a slot
-// twice.
-func TestRestoreStateRejectsStructuralDamage(t *testing.T) {
-	q := &eventq.Queue{}
-	q.At(100, func() {})
-	q.At(200, func() {})
-	q.At(300, func() {}).Cancel()
-	q.At(50, func() {})
-	q.RunUntil(60) // fires the t=50 event: now 60, last 50
-	good := q.SaveState()
-	if _, err := eventq.RestoreState(good, func(int) func() { return func() {} }); err != nil {
-		t.Fatalf("control state rejected: %v", err)
-	}
-
-	cases := []struct {
-		name string
-		mut  func(st *eventq.QueueState)
-	}{
-		{"unknown slot state", func(st *eventq.QueueState) { st.Slots[0].State = 99 }},
-		{"pending without callback", func(st *eventq.QueueState) { st.Slots[0].HasFn = false }},
-		{"pending idx out of range", func(st *eventq.QueueState) { st.Pending[0].Idx = 42 }},
-		{"pending entry disagrees with slot", func(st *eventq.QueueState) { st.Pending[0].At = 101 }},
-		{"pending count mismatch", func(st *eventq.QueueState) { st.Pending = st.Pending[:1] }},
-		{"pending out of order", func(st *eventq.QueueState) {
-			st.Pending[0], st.Pending[1] = st.Pending[1], st.Pending[0]
-		}},
-		{"pending before now", func(st *eventq.QueueState) {
-			st.Slots[st.Pending[0].Idx].At = 55
-			st.Pending[0].At = 55
-		}},
-		{"slot listed twice", func(st *eventq.QueueState) {
-			st.Pending = append(st.Pending, st.Pending[len(st.Pending)-1])
-		}},
-		{"pending rank at next rank", func(st *eventq.QueueState) { st.Seq = st.Pending[1].Seq }},
-		{"last after now", func(st *eventq.QueueState) { st.Last = st.Now + 1 }},
-		{"negative last", func(st *eventq.QueueState) { st.Last = -1 }},
-		{"free entry out of range", func(st *eventq.QueueState) { st.Free = append(st.Free, 99) }},
-		{"free entry pending", func(st *eventq.QueueState) { st.Free = append(st.Free, st.Pending[0].Idx) }},
-		{"free entry listed twice", func(st *eventq.QueueState) { st.Free = append(st.Free, st.Free[0]) }},
-	}
-	for _, tc := range cases {
-		enc := EncodeQueueState(good)
-		st, err := DecodeQueueState(enc)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", tc.name, err)
-		}
-		tc.mut(&st)
-		if _, err := eventq.RestoreState(st, func(int) func() { return func() {} }); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-}
-
-func TestSnifferStatesRoundTrip(t *testing.T) {
-	states := []sniffer.State{
-		{ID: 0, Seed: 1000, RNGDraws: 12345, Seen: 10, Captured: 8, LostBitError: 2, CurSecond: 3, CurCount: 4},
-		{ID: 2, Seed: 1002, RNGDraws: 1, LostHidden: 5, LostCollision: 6, LostOverload: 7},
-	}
-	enc := EncodeSnifferStates(states)
-	dec, err := DecodeSnifferStates(enc)
-	if err != nil {
-		t.Fatalf("DecodeSnifferStates: %v", err)
-	}
-	if !reflect.DeepEqual(states, dec) {
-		t.Fatalf("mismatch: %+v vs %+v", states, dec)
 	}
 }
 
